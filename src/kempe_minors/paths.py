@@ -1,19 +1,22 @@
 """Menger-type subroutines.
 
 Three operations back the solver: vertex-disjoint path systems or minimum
-separators in a simple graph (run on the line graph), edge-disjoint path
+separators in the line graph L(H) of a multigraph, edge-disjoint path
 systems between two vertices of a multigraph, and splitting a graph along a
 separating edge set into its two edge sides.
 
-Both path finders are unit-capacity augmenting-path flows with deterministic
-(ascending id) augmentation order.  The vertex-disjoint variant splits every
-node into an in/out pair of capacity one; the minimum separator is read off
-the final residual reachability.
+Both path finders run one unit-capacity augmenting-path flow on an
+int-indexed residual network, with one path decomposition and a
+deterministic (ascending id) search order.  L(H) itself is never built:
+vertex-disjoint paths in L(H) are the paths of the vertex-edge incidence
+network of H that share no edge node, where each edge node has capacity
+one and each vertex is an uncapacitated hub standing in for the clique
+that L(H) has at it.  The minimum separators of the two coincide and are
+read off the final residual reachability.
 """
 
 from __future__ import annotations
 
-from collections import deque
 from dataclasses import dataclass
 from typing import Iterable, Union
 
@@ -21,7 +24,7 @@ from .errors import (
     InsufficientConnectivityError,
     NotTwoSidesError,
 )
-from .graph import EdgeId, LineGraphView, Multigraph, VertexId, edge_components
+from .graph import EdgeId, Multigraph, VertexId, edge_components
 
 
 @dataclass(frozen=True)
@@ -60,133 +63,157 @@ class SideSplit:
     covered_d: frozenset[VertexId]
 
 
-_SRC = ("s", "")
-_SNK = ("t", "")
 _INF = 1 << 30
 
 
+class _Residual:
+    """A residual network on the nodes ``0 .. n-1`` with paired arcs.
+
+    Arc ``j ^ 1`` is the reverse of arc ``j``.  Each node lists its arcs in
+    the order they were added, which fixes the search order, so callers add
+    arcs in ascending id order and nothing is sorted during a search.
+    """
+
+    def __init__(self, n: int) -> None:
+        self.out: list[list[int]] = [[] for _ in range(n)]
+        self.head: list[int] = []
+        self.cap: list[int] = []
+        self.base: list[int] = []  # capacities before the flow ran
+
+    def add(self, a: int, b: int, cap: int, back: int = 0) -> None:
+        """Add arc a->b of capacity ``cap`` and its reverse of capacity ``back``."""
+        j = len(self.head)
+        self.out[a].append(j)
+        self.out[b].append(j + 1)
+        self.head += (b, a)
+        self.cap += (cap, back)
+
+    def max_flow(self, s: int, t: int, k: int) -> tuple[int, list[int]]:
+        """Augment along shortest paths until k units flow or none is left.
+
+        Returns the flow value and the last search's marks: when the value
+        is below k, the nodes x with ``mark[x] != -1`` are the residual
+        reach of s, the source side of a minimum cut.
+        """
+        out, head, cap = self.out, self.head, self.cap
+        self.base = cap.copy()
+        flow = 0
+        mark: list[int] = []
+        while flow < k:
+            # mark[x] is the arc that reached x, -2 at s, -1 if unreached
+            mark = [-1] * len(out)
+            mark[s] = -2
+            queue = [s]
+            for a in queue:
+                for j in out[a]:
+                    if cap[j]:
+                        b = head[j]
+                        if mark[b] == -1:
+                            mark[b] = j
+                            queue.append(b)
+                if mark[t] != -1:
+                    break
+            else:
+                return flow, mark
+            x = t
+            while x != s:
+                j = mark[x]
+                cap[j] -= 1
+                cap[j ^ 1] += 1
+                x = head[j ^ 1]
+            flow += 1
+        return flow, mark
+
+    def paths(self, s: int, t: int, k: int) -> list[list[int]]:
+        """Peel k s,t-paths off the flow, as arc lists.
+
+        An arc carries flow while its residual capacity is below its
+        capacity before the flow ran; each step consumes one unit.  A walk
+        that returns to a node splices out the loop, whose arcs stay
+        consumed, so every path is simple.
+        """
+        out, head, cap, base = self.out, self.head, self.cap, self.base
+        paths: list[list[int]] = []
+        for _ in range(k):
+            nodes, arcs = [s], []
+            while nodes[-1] != t:
+                j = next(j for j in out[nodes[-1]] if cap[j] < base[j])
+                cap[j] += 1
+                x = head[j]
+                if x in nodes:
+                    i = nodes.index(x)
+                    del nodes[i + 1:]
+                    del arcs[i:]
+                else:
+                    nodes.append(x)
+                    arcs.append(j)
+            paths.append(arcs)
+        return paths
+
+
 def disjoint_paths_or_separator(
-    G: LineGraphView,
-    U: Iterable[str],
-    T: Iterable[str],
+    H: Multigraph,
+    U: Iterable[EdgeId],
+    T: Iterable[EdgeId],
     k: int,
 ) -> Union[PathSystem, Separator]:
-    """Find k vertex-disjoint U,T-paths in G or a minimum U,T-separator.
+    """Find k vertex-disjoint U,T-paths in L(H) or a minimum U,T-separator.
 
-    On success each path runs from a U-node to a T-node and is truncated at
-    its first T-node, so it meets T exactly once.  On failure the returned
-    separator has minimum cardinality (hence fewer than k nodes) and every
-    U,T-path meets it.
+    U and T are edge ids of H, i.e. nodes of its line graph.  On success
+    each path is a sequence of edge ids, consecutive ones sharing an end,
+    that runs from a U-edge to a T-edge and is truncated at its first
+    T-edge, so it meets T exactly once.  On failure the returned separator
+    has minimum cardinality (hence fewer than k edges) and every U,T-path
+    of L(H) meets it.
     """
     us = frozenset(U)
     ts = frozenset(T)
     if not us or not ts:
         raise ValueError("U and T must be nonempty")
     for n in us | ts:
-        if n not in G.nodes:
+        if n not in H:
             raise KeyError(f"node {n!r} not in graph")
     if k < 1:
         raise ValueError("k must be positive")
 
-    # Split graph: node x becomes ('i', x) -> ('o', x) of capacity 1; all
-    # other arcs are effectively unbounded so a minimum cut consists of
-    # split arcs only, i.e. is a vertex separator.
-    res: dict[tuple, dict[tuple, int]] = {_SRC: {}, _SNK: {}}
-    orig: dict[tuple, dict[tuple, int]] = {}
-
-    def arc(a: tuple, b: tuple, cap: int) -> None:
-        res.setdefault(a, {})[b] = cap
-        res.setdefault(b, {}).setdefault(a, 0)
-        orig.setdefault(a, {})[b] = cap
-
-    for x in sorted(G.nodes):
-        arc(("i", x), ("o", x), 1)
-        for y in sorted(G.neighbors(x)):
-            arc(("o", x), ("i", y), _INF)
+    # Edge i is the arc in_i = 2i -> out_i = 2i+1 of capacity 1 (arc 2i);
+    # every vertex is an uncapacitated hub joining out_i -> hub -> in_i
+    # for the edges at it.  A minimum cut therefore consists of edge arcs.
+    eids = H.edge_ids
+    m = len(eids)
+    index = {eid: i for i, eid in enumerate(eids)}
+    hub = {v: 2 * m + i for i, v in enumerate(H.vertices)}
+    src = 2 * m + len(hub)
+    snk = src + 1
+    net = _Residual(snk + 1)
+    for i in range(m):
+        net.add(2 * i, 2 * i + 1, 1)
+    for i, e in enumerate(H.edges()):
+        for v in e.ends:
+            net.add(2 * i + 1, hub[v], _INF)
+            net.add(hub[v], 2 * i, _INF)
     for u in sorted(us):
-        arc(_SRC, ("i", u), _INF)
+        net.add(src, 2 * index[u], _INF)
     for t in sorted(ts):
-        arc(("o", t), _SNK, _INF)
+        net.add(2 * index[t] + 1, snk, _INF)
 
-    flow = 0
-    while flow < k:
-        # BFS augmenting path, neighbors in sorted order for determinism.
-        prev: dict[tuple, tuple] = {_SRC: _SRC}
-        queue = deque([_SRC])
-        while queue and _SNK not in prev:
-            a = queue.popleft()
-            for b in sorted(res[a]):
-                if res[a][b] > 0 and b not in prev:
-                    prev[b] = a
-                    queue.append(b)
-        if _SNK not in prev:
-            break
-        b = _SNK
-        while b != _SRC:
-            a = prev[b]
-            res[a][b] -= 1
-            res[b][a] += 1
-            b = a
-        flow += 1
-
-    if flow >= k:
-        return PathSystem("vertex", _decompose_vertex_paths(res, orig, ts, k))
-
-    reach = {_SRC}
-    queue = deque([_SRC])
-    while queue:
-        a = queue.popleft()
-        for b, c in res[a].items():
-            if c > 0 and b not in reach:
-                reach.add(b)
-                queue.append(b)
-    sep = frozenset(
-        x for x in G.nodes if ("i", x) in reach and ("o", x) not in reach
-    )
-    return Separator(sep)
-
-
-def _decompose_vertex_paths(
-    res: dict[tuple, dict[tuple, int]],
-    orig: dict[tuple, dict[tuple, int]],
-    ts: frozenset,
-    k: int,
-) -> tuple[tuple[str, ...], ...]:
-    # Flow on an original arc a->b is its capacity minus the remaining
-    # residual; walking from the source and consuming one unit per arc
-    # peels off the k paths.
-    paths: list[tuple[str, ...]] = []
-
-    def take_arc(a: tuple) -> tuple | None:
-        for b in sorted(orig.get(a, ())):
-            if orig[a][b] - res[a][b] > 0:
-                res[a][b] += 1
-                return b
-        return None
-
-    for _ in range(k):
-        node_seq: list[str] = []
-        a = take_arc(_SRC)
-        assert a is not None
-        while a != _SNK:
-            if a[0] == "i":
-                node_seq.append(a[1])
-            nxt = take_arc(a)
-            assert nxt is not None
-            a = nxt
-        # truncate at the first T-node
-        for idx, n in enumerate(node_seq):
-            if n in ts:
-                node_seq = node_seq[: idx + 1]
-                break
-        paths.append(tuple(node_seq))
-    return tuple(paths)
+    flow, mark = net.max_flow(src, snk, k)
+    if flow < k:
+        return Separator(frozenset(
+            eids[i] for i in range(m) if mark[2 * i] != -1 and mark[2 * i + 1] == -1
+        ))
+    paths: list[tuple[EdgeId, ...]] = []
+    for arcs in net.paths(src, snk, k):
+        seq = [eids[j >> 1] for j in arcs if j < 2 * m]
+        first_t = next(i for i, eid in enumerate(seq) if eid in ts)
+        paths.append(tuple(seq[: first_t + 1]))
+    return PathSystem("vertex", tuple(paths))
 
 
 def edge_disjoint_paths(
     H: Multigraph, a: VertexId, b: VertexId, k: int
 ) -> PathSystem:
-    """Find k pairwise edge-disjoint a,b-paths, reported as edge-id sequences.
+    """Find k pairwise edge-disjoint simple a,b-paths, as edge-id sequences.
 
     Raises InsufficientConnectivityError when the unit-capacity max flow
     between a and b is below k.
@@ -198,69 +225,21 @@ def edge_disjoint_paths(
     if k < 1:
         raise ValueError("k must be positive")
 
-    # flow[eid] is None (unused) or the ordered pair of endpoints giving the
-    # direction of the unit of flow on that edge.
-    flow: dict[EdgeId, tuple[VertexId, VertexId] | None] = {
-        eid: None for eid in H.edge_ids
-    }
-
-    def traversable(eid: EdgeId, u: VertexId) -> VertexId | None:
-        v = H.edge(eid).other(u)
-        state = flow[eid]
-        if state is None or state == (v, u):
-            return v
-        return None
-
-    found = 0
-    while found < k:
-        prev: dict[VertexId, tuple[VertexId, EdgeId]] = {}
-        seen = {a}
-        queue = deque([a])
-        while queue and b not in seen:
-            u = queue.popleft()
-            for eid in H.edges_at(u):
-                v = traversable(eid, u)
-                if v is not None and v not in seen:
-                    seen.add(v)
-                    prev[v] = (u, eid)
-                    queue.append(v)
-        if b not in seen:
-            raise InsufficientConnectivityError(
-                f"only {found} edge-disjoint {a!r},{b!r}-paths exist, need {k}"
-            )
-        v = b
-        while v != a:
-            u, eid = prev[v]
-            flow[eid] = None if flow[eid] == (v, u) else (u, v)
-            v = u
-        found += 1
-
-    # Decompose into k simple paths; cycles in the flow are discarded.
-    out_arcs: dict[VertexId, list[tuple[EdgeId, VertexId]]] = {}
-    for eid in H.edge_ids:
-        state = flow[eid]
-        if state is not None:
-            out_arcs.setdefault(state[0], []).append((eid, state[1]))
-    for u in out_arcs:
-        out_arcs[u].sort()
-
-    paths: list[tuple[EdgeId, ...]] = []
-    for _ in range(k):
-        verts = [a]
-        eids: list[EdgeId] = []
-        while verts[-1] != b:
-            u = verts[-1]
-            eid, v = out_arcs[u].pop(0)
-            if v in verts:
-                # splice out the loop; its arcs stay consumed
-                i = verts.index(v)
-                del verts[i + 1:]
-                del eids[i:]
-            else:
-                verts.append(v)
-                eids.append(eid)
-        paths.append(tuple(eids))
-    return PathSystem("edge", tuple(paths))
+    # Edge i is the arc pair 2i, 2i+1 with capacity one each way.
+    eids = H.edge_ids
+    node = {v: i for i, v in enumerate(H.vertices)}
+    net = _Residual(len(node))
+    for e in H.edges():
+        u, v = e.ends
+        net.add(node[u], node[v], 1, 1)
+    flow, _ = net.max_flow(node[a], node[b], k)
+    if flow < k:
+        raise InsufficientConnectivityError(
+            f"only {flow} edge-disjoint {a!r},{b!r}-paths exist, need {k}"
+        )
+    return PathSystem("edge", tuple(
+        tuple(eids[j >> 1] for j in arcs) for arcs in net.paths(node[a], node[b], k)
+    ))
 
 
 def split_sides(H: Multigraph, S: Iterable[EdgeId]) -> SideSplit:

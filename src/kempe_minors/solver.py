@@ -6,9 +6,10 @@ disjoint, pairwise incident edge sets of H, each containing exactly one edge
 of T.  Such a system is exactly a complete minor of the line graph rooted at
 T, with the bags as branching sets.
 
-The construction recurses on the number of edges.  At each level it either
-routes k vertex-disjoint paths in the line graph from the edge star of a
-maximum-degree vertex to T, or finds a minimum separator, contracts one of
+The construction recurses on the number of edges.  At each level one flow
+on the vertex-edge incidence network of H either routes k paths of the line
+graph, pairwise sharing no edge, from the edge star of a maximum-degree
+vertex to T, or finds a minimum separator; the solver then contracts one of
 its sides, recurses, and lifts the answer back through edge-disjoint path
 systems.  Parallel edges and the complete-graph endgame have dedicated
 direct constructions.
@@ -38,7 +39,6 @@ from .graph import (
     VertexId,
     contract,
     edge_components,
-    line_graph,
 )
 from .paths import (
     PathSystem,
@@ -532,8 +532,7 @@ def _solve_menger(
 ) -> list[frozenset[EdgeId]]:
     k = len(classes)
     U = frozenset(H.edges_at(v))
-    L = line_graph(H)
-    result = disjoint_paths_or_separator(L, U, ts, k)
+    result = disjoint_paths_or_separator(H, U, ts, k)
 
     if isinstance(result, PathSystem):
         trace.append(TraceStep("menger", {"vertex": v, "star": U, "paths": result.paths}))

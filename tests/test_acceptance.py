@@ -5,6 +5,7 @@ them); a failed assertion doubles as the FAIL line in the pytest report.
 """
 
 import time
+from collections import Counter
 from itertools import combinations
 
 from kempe_minors.coloring import MatchingPartition, pair_end_count
@@ -30,14 +31,18 @@ def _report(n, message):
 def test_criterion_1_solve_then_verify_whole_corpus():
     start = time.perf_counter()
     solves = 0
+    shapes = Counter()
     for name, (H, part) in standard_corpus():
         for T in sample_transversals(part, 50, seed=0):
-            bags, _ = solve(H, part, T)
+            bags, trace = solve(H, part, T)
             verdict = verify_solution(H, part, T, bags)
             assert verdict, f"{name}: {verdict.violations}"
+            shapes[">".join(trace.kinds())] += 1
             solves += 1
     elapsed = time.perf_counter() - start
     assert elapsed < 10.0, f"corpus sweep took {elapsed:.1f}s, budget is 10s"
+    # the branches the sweep takes are part of the solver's behaviour
+    assert shapes == {"menger": 3181, "separator>menger": 227, "complete": 1}, shapes
     _report(1, f"{solves} solve+verify runs over the corpus in {elapsed:.1f}s")
 
 

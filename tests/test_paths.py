@@ -7,7 +7,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from kempe_minors.errors import InsufficientConnectivityError, NotTwoSidesError
-from kempe_minors.graph import Multigraph, edge, line_graph
+from kempe_minors.graph import Multigraph, contract, edge, line_graph
 from kempe_minors.paths import (
     PathSystem,
     Separator,
@@ -34,13 +34,14 @@ def grid_2x3():
 
 @st.composite
 def small_graphs(draw):
+    """Small multigraphs; a pair may be drawn twice, giving parallel edges."""
     n = draw(st.integers(min_value=3, max_value=6))
     verts = [f"v{i}" for i in range(n)]
     pairs = [(verts[i], verts[j]) for i in range(n) for j in range(i + 1, n)]
-    chosen = draw(
-        st.lists(st.sampled_from(pairs), min_size=2, max_size=len(pairs), unique=True)
+    chosen = draw(st.lists(st.sampled_from(pairs), min_size=2, max_size=12))
+    return Multigraph(
+        verts, [edge(f"e{i}-{u}-{v}", u, v) for i, (u, v) in enumerate(sorted(chosen))]
     )
-    return Multigraph(verts, [edge(f"e{u}-{v}", u, v) for u, v in sorted(chosen)])
 
 
 def separates(G, X, us, ts):
@@ -74,7 +75,7 @@ class TestVertexDisjoint:
         L = line_graph(H)
         us = {"e01", "e02", "e03"}
         ts = {"e12", "e13", "e23"}
-        result = disjoint_paths_or_separator(L, us, ts, 3)
+        result = disjoint_paths_or_separator(H, us, ts, 3)
         assert isinstance(result, PathSystem)
         assert result.mode == "vertex"
         assert len(result) == 3
@@ -101,19 +102,61 @@ class TestVertexDisjoint:
             ],
         )
         L = line_graph(H)
-        result = disjoint_paths_or_separator(L, {"am", "ab"}, {"xy"}, 2)
+        result = disjoint_paths_or_separator(H, {"am", "ab"}, {"xy"}, 2)
         assert isinstance(result, Separator)
         assert result.nodes == {"mx"}
         assert separates(L, result.nodes, frozenset({"am", "ab"}), frozenset({"xy"}))
 
+    def test_separator_and_lift_on_contracted_multigraph(self):
+        # contracting ab doubles the edges from the new vertex to m and c;
+        # the star there reaches the triangle xyz only through mx and cx
+        G = Multigraph(
+            ["a", "b", "c", "m", "x", "y", "z"],
+            [
+                edge("ab", "a", "b"),
+                edge("am", "a", "m"),
+                edge("bm", "b", "m"),
+                edge("ac", "a", "c"),
+                edge("bc", "b", "c"),
+                edge("mx", "m", "x"),
+                edge("cx", "c", "x"),
+                edge("xy", "x", "y"),
+                edge("xz", "x", "z"),
+                edge("yz", "y", "z"),
+            ],
+        )
+        H, w = contract(G, {"ab"})
+        assert H.parallel_pair() is not None
+        L = line_graph(H)
+        us = frozenset(H.edges_at(w))
+        ts = frozenset({"xy", "xz", "yz"})
+        result = disjoint_paths_or_separator(H, us, ts, 3)
+        assert isinstance(result, Separator)
+        S = result.nodes
+        assert S == {"mx", "cx"}
+        assert separates(L, S, us, ts)
+        for X in combinations(sorted(L.nodes), len(S) - 1):
+            assert not separates(L, frozenset(X), us, ts)
+        # the lift: one edge-disjoint path per separator edge from w to the
+        # contracted far side, each a path of L(H) crossing S once
+        split = split_sides(H, S)
+        far = split.side_d if ts <= split.side_d else split.side_c
+        H_near, x = contract(H, far)
+        psys = edge_disjoint_paths(H_near, w, x, len(S))
+        assert sorted(len(set(p) & S) for p in psys.paths) == [1, 1]
+        assert set().union(*psys.paths) & S == S
+        for p in psys.paths:
+            assert p[0] in us and p[-1] in S
+            assert all(L.adjacent(p[i], p[i + 1]) for i in range(len(p) - 1))
+
     def test_rejects_bad_arguments(self):
-        L = line_graph(grid_2x3())
+        H = grid_2x3()
         with pytest.raises(ValueError):
-            disjoint_paths_or_separator(L, set(), {"a01"}, 1)
+            disjoint_paths_or_separator(H, set(), {"a01"}, 1)
         with pytest.raises(KeyError):
-            disjoint_paths_or_separator(L, {"zz"}, {"a01"}, 1)
+            disjoint_paths_or_separator(H, {"zz"}, {"a01"}, 1)
         with pytest.raises(ValueError):
-            disjoint_paths_or_separator(L, {"a01"}, {"b01"}, 0)
+            disjoint_paths_or_separator(H, {"a01"}, {"b01"}, 0)
 
     @settings(max_examples=60, deadline=None)
     @given(small_graphs(), st.data())
@@ -127,7 +170,7 @@ class TestVertexDisjoint:
             data.draw(st.sets(st.sampled_from(nodes), min_size=1, max_size=3))
         )
         k = data.draw(st.integers(min_value=1, max_value=3))
-        result = disjoint_paths_or_separator(L, us, ts, k)
+        result = disjoint_paths_or_separator(H, us, ts, k)
         if isinstance(result, PathSystem):
             assert len(result) == k
             used = [n for p in result.paths for n in p]
@@ -135,6 +178,7 @@ class TestVertexDisjoint:
             for p in result.paths:
                 assert p[0] in us and p[-1] in ts
                 assert all(n not in ts for n in p[:-1])
+                assert all(L.adjacent(p[i], p[i + 1]) for i in range(len(p) - 1))
         else:
             S = result.nodes
             assert len(S) < k
