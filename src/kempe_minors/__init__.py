@@ -50,7 +50,6 @@ from .solver import (
     assert_complete_fallback,
     solve,
     solve_complete,
-    solve_parallel,
     verify_solution,
 )
 
@@ -85,7 +84,6 @@ __all__ = [
     "pair_subgraph_ends",
     "solve",
     "solve_complete",
-    "solve_parallel",
     "splice",
     "split_sides",
     "verify_kempe",

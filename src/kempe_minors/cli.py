@@ -138,17 +138,9 @@ def _cmd_corpus_run(args) -> int:
     for path in files:
         try:
             H, part, T = parse_instance(path.read_text())
-            for verdict in (
-                verify_matching_partition(H, part),
-                verify_kempe(H, part),
-            ):
-                if not verdict:
-                    raise InvalidInputError("; ".join(verdict.violations))
             ts = T if T is not None else _default_transversal(part)
+            # solve validates the instance and verifies its own output
             bags, _trace = solve(H, part, ts)
-            verdict = verify_solution(H, part, ts, bags)
-            if not verdict:
-                raise InternalAssertionError("; ".join(verdict.violations))
             print(f"{path.name}: ok ({len(bags)} bags)")
         except KempeMinorError as exc:
             failures += 1

@@ -42,9 +42,6 @@ class MatchingPartition:
         raise KeyError(eid)
 
 
-Transversal = frozenset
-
-
 @dataclass(frozen=True)
 class Verdict:
     """Outcome of a structural verification, with diagnosable violations."""

@@ -249,10 +249,6 @@ def edge_components(H: Multigraph, F: Iterable[EdgeId]) -> tuple[frozenset[EdgeI
     return tuple(sorted(parts, key=min))
 
 
-def is_connected_edge_set(H: Multigraph, F: Iterable[EdgeId]) -> bool:
-    return len(edge_components(H, F)) == 1
-
-
 def contract(H: Multigraph, F: Iterable[EdgeId]) -> tuple[Multigraph, VertexId]:
     """Contract the connected edge set ``F`` to a single fresh vertex.
 

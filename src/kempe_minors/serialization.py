@@ -1,4 +1,4 @@
-"""Instance and solution documents, plus DOT export.
+"""Instance and solution documents, plus the line-graph DOT export.
 
 Documents are JSON: human-readable, diffable, and round-trip lossless.
 An instance holds vertices, edges with stable ids, the matching classes,
@@ -12,12 +12,7 @@ import json
 from typing import Any, Optional
 
 from .coloring import MatchingPartition
-from .errors import (
-    DuplicateEdgeIdError,
-    KempeMinorError,
-    ParseError,
-    SchemaViolationError,
-)
+from .errors import KempeMinorError, ParseError, SchemaViolationError
 from .graph import EdgeRecord, LineGraphView, Multigraph
 from .solver import BagSystem, ReductionTrace
 
@@ -63,8 +58,6 @@ def parse_instance(text: str) -> ParsedInstance:
             raise SchemaViolationError(path, str(exc)) from None
     try:
         H = Multigraph(vertices, records)
-    except DuplicateEdgeIdError as exc:
-        raise ParseError(str(exc)) from None
     except KempeMinorError as exc:
         raise SchemaViolationError("edges", str(exc)) from None
     if not isinstance(doc["classes"], list):
@@ -138,38 +131,6 @@ def _jsonable(value: Any) -> Any:
 
 # ---------------------------------------------------------------------------
 # DOT export
-
-_PALETTE = (
-    "#1b9e77", "#d95f02", "#7570b3", "#e7298a",
-    "#66a61e", "#e6ab02", "#a6761d", "#666666",
-)
-
-
-def instance_to_dot(
-    H: Multigraph,
-    part: MatchingPartition,
-    bags: Optional[BagSystem] = None,
-) -> str:
-    """Render H with class-indexed edge colors; bag membership, if given,
-    is shown in the edge label."""
-    bag_of: dict[str, int] = {}
-    if bags is not None:
-        for i, bag in enumerate(bags.bags):
-            for eid in bag:
-                bag_of[eid] = i
-    lines = ["graph H {", "  node [shape=circle];"]
-    for v in H.vertices:
-        lines.append(f'  "{v}";')
-    for e in H.edges():
-        cls = part.class_of(e.id) if e.id in part.all_edges() else -1
-        color = _PALETTE[cls % len(_PALETTE)] if cls >= 0 else "black"
-        label = e.id if e.id not in bag_of else f"{e.id} [bag {bag_of[e.id]}]"
-        u, v = e.ends
-        lines.append(
-            f'  "{u}" -- "{v}" [label="{label}", color="{color}"];'
-        )
-    lines.append("}")
-    return "\n".join(lines) + "\n"
 
 
 def line_graph_to_dot(L: LineGraphView) -> str:

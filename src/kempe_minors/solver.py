@@ -81,17 +81,12 @@ class ReductionTrace:
 
 @dataclass(frozen=True)
 class CompleteFallback:
-    """Confirmation that the leftover case is the complete graph on k vertices.
-
-    ``end_slack`` holds d*(k-d) - max_deg*(k-max_deg) per occurring degree d
-    and ``order_slack`` is (max_deg+1)*max_deg*(k-max_deg) - k*(k-1); both
-    must vanish, which pins every degree to k-1 on exactly k vertices.
+    """Confirmation that the leftover case is the complete graph on k vertices:
+    every covered vertex has degree ``max_deg`` = k-1 and there are k of them.
     """
 
     max_deg: int
     k: int
-    end_slack: dict[int, int] = field(hash=False)
-    order_slack: int = 0
 
 
 def _require(cond: bool, fact: str) -> None:
@@ -115,6 +110,9 @@ def verify_solution(
     if len(bags) != part.k:
         violations.append(f"{len(bags)} bags for {part.k} classes")
     seen: dict[EdgeId, int] = {}
+    # vertices covered by each non-empty bag of known edges, in bag order;
+    # only these bags take part in the pairwise incidence check
+    covers: dict[int, frozenset[VertexId]] = {}
     for i, bag in enumerate(bags.bags):
         if not bag:
             violations.append(f"bag {i} is empty")
@@ -123,6 +121,7 @@ def verify_solution(
         if bad:
             violations.append(f"bag {i} holds unknown edges {bad}")
             continue
+        covers[i] = H.covered(bag)
         for eid in sorted(bag):
             if eid in seen:
                 violations.append(
@@ -137,13 +136,8 @@ def verify_solution(
             violations.append(
                 f"bag {i} holds {len(hits)} transversal edges ({hits})"
             )
-    for i, j in combinations(range(len(bags)), 2):
-        a, b = bags.bags[i], bags.bags[j]
-        if not a or not b:
-            continue
-        if not (a <= set(H.edge_ids) and b <= set(H.edge_ids)):
-            continue
-        if not (H.covered(a) & H.covered(b)):
+    for i, j in combinations(covers, 2):
+        if not (covers[i] & covers[j]):
             violations.append(f"bags {i} and {j} are not incident")
     unused = sorted(ts - set(seen))
     for eid in unused:
@@ -303,8 +297,10 @@ def assert_complete_fallback(
     """Confirm the leftover case: H is the simple complete graph on k vertices.
 
     Preconditions: no vertex of degree k, H simple, partition Kempe-verified.
-    Vertices covered by no edge are ignored.  Any failed conclusion raises
-    InternalAssertionError; on valid inputs that is unreachable.
+    Vertices covered by no edge are ignored.  Each conclusion is checked
+    directly: maximum degree k-1, exactly k covered vertices, uniform degrees
+    and every pair adjacent.  A failed one raises InternalAssertionError; on
+    valid inputs that is unreachable.
     """
     k = part.k
     verts = sorted(H.covered_vertices())
@@ -312,10 +308,6 @@ def assert_complete_fallback(
     delta = max(degs.values(), default=0)
     _require(delta < k, "a vertex of full degree is present")
     _require(H.is_simple(), "parallel edges present in the fallback")
-    end_slack = {
-        d: d * (k - d) - delta * (k - delta) for d in sorted(set(degs.values()))
-    }
-    order_slack = (delta + 1) * delta * (k - delta) - k * (k - 1)
     _require(delta == k - 1, f"maximum degree {delta} is not k-1")
     _require(len(verts) == delta + 1, f"{len(verts)} covered vertices, need {delta + 1}")
     _require(all(d == delta for d in degs.values()), "degrees are not uniform")
@@ -324,7 +316,7 @@ def assert_complete_fallback(
             any(H.edge(eid).covers(v) for eid in H.edges_at(u)),
             f"vertices {u!r},{v!r} are not adjacent",
         )
-    return CompleteFallback(delta, k, end_slack, order_slack)
+    return CompleteFallback(delta, k)
 
 
 def solve_complete(H: Multigraph, T: Iterable[EdgeId]) -> BagSystem:
@@ -451,7 +443,13 @@ def _lemma_complete(verts, ts, eid_of, H) -> list[frozenset[EdgeId]]:
 def solve(
     H: Multigraph, part: MatchingPartition, T: Iterable[EdgeId]
 ) -> tuple[BagSystem, ReductionTrace]:
-    """Solve an instance; the returned system always passes verify_solution."""
+    """Solve an instance; the returned system always passes verify_solution.
+
+    Parallel edges and the complete endgame are branches of the same
+    recursion.  The partition, the Kempe property and T are checked once
+    here (InvalidInputError on failure), the output once at the end
+    (InternalAssertionError on failure).
+    """
     ts = frozenset(T)
     for name, verdict in (
         ("matching partition", verify_matching_partition(H, part)),
@@ -468,28 +466,6 @@ def solve(
     verdict = verify_solution(H, part, ts, system)
     _require(bool(verdict), "output fails verification: " + "; ".join(verdict.violations))
     return system, ReductionTrace(tuple(trace))
-
-
-def solve_parallel(
-    H: Multigraph, part: MatchingPartition, T: Iterable[EdgeId]
-) -> BagSystem:
-    """Direct construction for a graph with parallel edges."""
-    if H.parallel_pair() is None:
-        raise InvalidInputError("graph has no parallel edges")
-    ts = frozenset(T)
-    for verdict in (
-        verify_matching_partition(H, part),
-        verify_kempe(H, part),
-        verify_transversal(part, ts),
-    ):
-        if not verdict:
-            raise InvalidInputError("; ".join(verdict.violations))
-    trace: list[TraceStep] = []
-    bags = _solve_with_parallel(H, list(part.classes), ts, trace)
-    system = BagSystem(tuple(bags))
-    verdict = verify_solution(H, part, ts, system)
-    _require(bool(verdict), "output fails verification: " + "; ".join(verdict.violations))
-    return system
 
 
 def _solve_rec(
@@ -513,14 +489,9 @@ def _solve_rec(
     part = MatchingPartition(tuple(classes))
     fallback = assert_complete_fallback(H, part)
     trace.append(
-        TraceStep(
-            "complete",
-            {"k": fallback.k, "max_deg": fallback.max_deg,
-             "order_slack": fallback.order_slack},
-        )
+        TraceStep("complete", {"k": fallback.k, "max_deg": fallback.max_deg})
     )
-    sub = H.induced(H.covered_vertices())
-    return list(solve_complete(sub, ts).bags)
+    return list(solve_complete(H, ts).bags)
 
 
 def _solve_menger(

@@ -20,7 +20,7 @@ from kempe_minors.generators import (
     pair_union_is_hamilton_path,
 )
 from kempe_minors.oracle import oracle_solve
-from kempe_minors.solver import solve, solve_complete, solve_parallel, verify_solution
+from kempe_minors.solver import solve, solve_complete, verify_solution
 from kempe_minors.graph import Multigraph, edge
 
 
@@ -182,7 +182,8 @@ def test_criterion_8_parallel_edge_regressions():
     )
     part2 = MatchingPartition.of([{"e"}, {"f"}, {"xa1", "yc"}, {"xc", "yb2"}])
     T2 = {"e", "f", "xa1", "yb2"}
-    bags2 = solve_parallel(H2, part2, T2)
+    bags2, trace2 = solve(H2, part2, T2)
+    assert trace2.kinds() == ("parallel",)
     assert verify_solution(H2, part2, T2, bags2)
     got = sorted(sorted(b) for b in bags2.bags)
     assert got == [["e"], ["f"], ["xa1", "xc", "yc"], ["yb2"]]
@@ -205,6 +206,7 @@ def test_criterion_8_parallel_edge_regressions():
         [{"e"}, {"f"}, {"xp", "yq"}, {"xq", "yr"}, {"xr", "yp"}]
     )
     T3 = {"e", "f", "xp", "yr", "yp"}
-    bags3 = solve_parallel(H3, part3, T3)
+    bags3, trace3 = solve(H3, part3, T3)
+    assert trace3.kinds() == ("parallel",)
     assert verify_solution(H3, part3, T3, bags3)
     _report(8, "both chained-class configurations reproduce the expected systems")

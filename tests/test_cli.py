@@ -76,6 +76,19 @@ class TestSolveAndCheck:
         path.write_text("{nope")
         assert main(["verify", "-i", str(path)]) == EXIT_USAGE
 
+    def test_duplicate_edge_id_is_a_usage_error(self, tmp_path):
+        doc = {
+            "vertices": ["a", "b", "c"],
+            "edges": [
+                {"id": "e", "ends": ["a", "b"]},
+                {"id": "e", "ends": ["b", "c"]},
+            ],
+            "classes": [["e"]],
+        }
+        path = tmp_path / "dup.json"
+        path.write_text(json.dumps(doc))
+        assert main(["verify", "-i", str(path)]) == EXIT_USAGE
+
     def test_missing_file_is_a_usage_error(self, tmp_path):
         assert (
             main(["verify", "-i", str(tmp_path / "absent.json")]) == EXIT_USAGE
@@ -207,7 +220,21 @@ class TestCorpusRun:
         }
         (d / "bad.json").write_text(json.dumps(doc))
         assert main(["corpus", "run", "--dir", str(d)]) == EXIT_REJECT
-        assert "FAIL" in capsys.readouterr().out
+        out = capsys.readouterr().out
+        assert "FAIL" in out
+        assert "union of classes 0 and 1 is not connected" in out
+
+    def test_transversal_with_two_edges_of_one_class_fails(self, tmp_path, capsys):
+        d = tmp_path / "corpus"
+        d.mkdir()
+        H, part = k4_seed()
+        cls = sorted(part.classes[0])
+        T = {cls[0], cls[1]} | {min(c) for c in part.classes[2:]}
+        write_instance(d / "k4.json", H, part, T)
+        assert main(["corpus", "run", "--dir", str(d)]) == EXIT_REJECT
+        out = capsys.readouterr().out
+        assert "k4.json: FAIL" in out
+        assert "class 0 is hit 2 times" in out
 
     def test_empty_directory(self, tmp_path):
         d = tmp_path / "empty"

@@ -11,7 +11,6 @@ from kempe_minors.graph import line_graph
 from kempe_minors.serialization import (
     emit_instance,
     emit_solution,
-    instance_to_dot,
     line_graph_to_dot,
     parse_instance,
     parse_solution,
@@ -66,7 +65,7 @@ class TestDiagnostics:
         with pytest.raises(ParseError, match="line 1"):
             parse_instance("{nope")
 
-    def test_duplicate_edge_id_is_a_parse_error(self):
+    def test_duplicate_edge_id_is_a_schema_violation(self):
         text = json.dumps(
             {
                 "vertices": ["a", "b", "c"],
@@ -77,8 +76,9 @@ class TestDiagnostics:
                 "classes": [["e"]],
             }
         )
-        with pytest.raises(ParseError, match="'e'"):
+        with pytest.raises(SchemaViolationError, match="'e'") as info:
             parse_instance(text)
+        assert info.value.path == "edges"
 
     def test_missing_field(self):
         with pytest.raises(SchemaViolationError) as info:
@@ -132,19 +132,6 @@ class TestDiagnostics:
 
 
 class TestDot:
-    def test_instance_dot_mentions_every_edge(self):
-        H, part = k4_seed()
-        dot = instance_to_dot(H, part)
-        assert dot.startswith("graph H {")
-        for eid in H.edge_ids:
-            assert eid in dot
-
-    def test_instance_dot_labels_bags(self):
-        H, part = k4_seed()
-        bags = BagSystem.of([{"e01"}, {"e02"}, {"e03", "e12", "e13", "e23"}])
-        dot = instance_to_dot(H, part, bags)
-        assert "[bag 2]" in dot
-
     def test_line_graph_dot(self):
         H, part = k4_seed()
         dot = line_graph_to_dot(line_graph(H))
