@@ -167,15 +167,6 @@ class Multigraph:
             self._vertices - {v}, (e for e in self.edges() if not e.covers(v))
         )
 
-    def induced(self, vs: Iterable[VertexId]) -> "Multigraph":
-        keep = frozenset(vs)
-        for v in keep:
-            if v not in self._vertices:
-                raise UnknownVertexError(f"unknown vertex {v!r}")
-        return Multigraph(
-            keep, (e for e in self.edges() if set(e.ends) <= keep)
-        )
-
 
 @dataclass(frozen=True)
 class LineGraphView:

@@ -451,11 +451,13 @@ def solve(
     (InternalAssertionError on failure).
     """
     ts = frozenset(T)
-    for name, verdict in (
-        ("matching partition", verify_matching_partition(H, part)),
-        ("kempe", verify_kempe(H, part)),
-        ("transversal", verify_transversal(part, ts)),
+    # in order, stopping at the first failure: the Kempe check needs known edges
+    for name, check, args in (
+        ("matching partition", verify_matching_partition, (H, part)),
+        ("kempe", verify_kempe, (H, part)),
+        ("transversal", verify_transversal, (part, ts)),
     ):
+        verdict = check(*args)
         if not verdict:
             raise InvalidInputError(
                 f"{name} verification failed: " + "; ".join(verdict.violations)

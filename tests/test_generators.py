@@ -23,7 +23,13 @@ from kempe_minors.generators import (
     pair_union_is_hamilton_path,
     splice,
 )
-from kempe_minors.coloring import verify_kempe, verify_matching_partition
+from kempe_minors.coloring import (
+    MatchingPartition,
+    verify_kempe,
+    verify_matching_partition,
+)
+from kempe_minors.corpus import standard_corpus
+from kempe_minors.graph import EdgeRecord, Multigraph, edge
 
 
 VALID_PARAMS = [
@@ -148,6 +154,37 @@ class TestCertifiers:
     def test_hamilton_path_negative_on_cycle(self):
         H, part = k4_seed()
         assert not pair_union_is_hamilton_path(H, part.classes[0], part.classes[1])
+
+    def test_perfect_iff_every_pair_union_is_a_hamilton_cycle(self):
+        def by_cycles(H, part):
+            return bool(verify_matching_partition(H, part)) and all(
+                pair_union_is_hamilton_cycle(H, part.classes[i], part.classes[j])
+                for i, j in combinations(range(part.k), 2)
+            )
+
+        cases = [
+            (name, H, part, not name.startswith("delete-"))
+            for name, (H, part) in standard_corpus()
+        ]
+        # two disjoint K_4 factorizations merged class by class: perfect
+        # matchings whose pair unions are two 4-cycles each, so not Kempe
+        k4, k4_part = k4_seed()
+        twin = Multigraph(
+            [f"{s}{v}" for s in "xy" for v in k4.vertices],
+            [
+                EdgeRecord(f"{s}{e.id}", tuple(f"{s}{v}" for v in e.ends))
+                for s in "xy"
+                for e in k4.edges()
+            ],
+        )
+        twin_part = MatchingPartition.of(
+            {f"{s}{eid}" for s in "xy" for eid in cls} for cls in k4_part.classes
+        )
+        cases.append(("two K4", twin, twin_part, False))
+        digon = Multigraph(["a", "b"], [edge("p", "a", "b"), edge("q", "a", "b")])
+        cases.append(("digon", digon, MatchingPartition.of([{"p"}, {"q"}]), True))
+        for name, H, part, perfect in cases:
+            assert is_perfect_one_factorization(H, part) == by_cycles(H, part) == perfect, name
 
 
 class TestSeedsAndComplete:

@@ -116,11 +116,6 @@ class TestMultigraph:
         with pytest.raises(UnknownVertexError):
             H.without_vertex("z")
 
-    def test_induced(self):
-        H = triangle()
-        sub = H.induced({"a", "b"})
-        assert sub.edge_ids == ("ab",) and sub.vertices == ("a", "b")
-
 
 class TestEdgeComponents:
     def test_path_is_one_component(self):

@@ -366,6 +366,12 @@ class TestInputValidation:
         with pytest.raises(InvalidInputError):
             solve(H, part, {"e01", "e23", "e02"})
 
+    def test_unknown_edge_in_partition_rejected(self):
+        H, part = k4_seed()
+        bad = MatchingPartition.of([part.classes[0] | {"zz"}, *part.classes[1:]])
+        with pytest.raises(InvalidInputError, match="unknown edge"):
+            solve(H, bad, {"e01", "e02", "e03"})
+
     def test_non_kempe_rejected(self):
         H = Multigraph(
             ["a", "b", "c", "d"], [edge("ab", "a", "b"), edge("cd", "c", "d")]
