@@ -8,7 +8,7 @@ from itertools import combinations
 from typing import Iterable
 
 from .errors import UnknownVertexError
-from .graph import EdgeId, Multigraph, VertexId, edge_components
+from .graph import EdgeId, Multigraph, VertexId
 
 
 @dataclass(frozen=True)
@@ -64,7 +64,8 @@ def verify_matching_partition(H: Multigraph, part: MatchingPartition) -> Verdict
     for i, cls in enumerate(part.classes):
         if not cls:
             violations.append(f"class {i} is empty")
-        for eid in sorted(cls):
+        ordered = sorted(cls)
+        for eid in ordered:
             if eid not in H:
                 violations.append(f"class {i}: unknown edge {eid!r}")
             elif eid in seen:
@@ -75,7 +76,7 @@ def verify_matching_partition(H: Multigraph, part: MatchingPartition) -> Verdict
                 seen[eid] = i
         # matching: no two class edges share an endpoint
         at: dict[VertexId, EdgeId] = {}
-        for eid in sorted(cls):
+        for eid in ordered:
             if eid not in H:
                 continue
             for v in H.edge(eid).ends:
@@ -95,10 +96,38 @@ def verify_kempe(H: Multigraph, part: MatchingPartition) -> Verdict:
     """Accept iff the union of any two classes is one connected edge set.
 
     Stops at the first failing pair; the verdict names it by class indices.
+    Every class edge is looked up first, so an unknown edge id raises
+    UnknownEdgeIdError.  Each pair is checked by a union-find over the two
+    classes' edges: the union is connected iff the successful joins number
+    one less than the vertices it covers (an empty union covers none).
     """
+    index: dict[VertexId, int] = {}
+    ends: list[list[tuple[int, int]]] = []
+    covers: list[set[int]] = []
+    for cls in part.classes:
+        pairs = []
+        for eid in cls:
+            u, v = H.edge(eid).ends
+            iu = index.setdefault(u, len(index))
+            iv = index.setdefault(v, len(index))
+            pairs.append((iu, iv))
+        ends.append(pairs)
+        covers.append({x for pair in pairs for x in pair})
     for i, j in combinations(range(part.k), 2):
-        union = part.classes[i] | part.classes[j]
-        if len(edge_components(H, union)) != 1:
+        parent = list(range(len(index)))
+        joins = 0
+        for a, b in ends[i] + ends[j]:
+            # find with path halving
+            while parent[a] != a:
+                parent[a] = parent[parent[a]]
+                a = parent[a]
+            while parent[b] != b:
+                parent[b] = parent[parent[b]]
+                b = parent[b]
+            if a != b:
+                parent[a] = b
+                joins += 1
+        if joins != len(covers[i] | covers[j]) - 1:
             return _reject(f"union of classes {i} and {j} is not connected")
     return Verdict(True)
 

@@ -311,11 +311,9 @@ def assert_complete_fallback(
     _require(delta == k - 1, f"maximum degree {delta} is not k-1")
     _require(len(verts) == delta + 1, f"{len(verts)} covered vertices, need {delta + 1}")
     _require(all(d == delta for d in degs.values()), "degrees are not uniform")
+    adjacent = {e.ends for e in H.edges()}
     for u, v in combinations(verts, 2):
-        _require(
-            any(H.edge(eid).covers(v) for eid in H.edges_at(u)),
-            f"vertices {u!r},{v!r} are not adjacent",
-        )
+        _require((u, v) in adjacent, f"vertices {u!r},{v!r} are not adjacent")
     return CompleteFallback(delta, k)
 
 
@@ -325,6 +323,12 @@ def solve_complete(H: Multigraph, T: Iterable[EdgeId]) -> BagSystem:
     T may be any set of n edges of the complete graph on n >= 3 vertices,
     not necessarily a matching transversal.  Returns n bags, each with one
     T-edge.
+
+    The construction recurses n - 3 levels deep, one vertex per level.  It
+    raises RecursionError once those levels plus the caller's own stack
+    depth exceed the interpreter's recursion limit
+    (``sys.getrecursionlimit()``, 1000 by default), that is from K_n with n
+    a few below the limit upwards.
     """
     ts = frozenset(T)
     verts = sorted(H.covered_vertices())
@@ -356,24 +360,21 @@ def _lemma_complete(verts, ts, eid_of, H) -> list[frozenset[EdgeId]]:
     if n == 3:
         return [frozenset({t}) for t in sorted(ts)]
 
-    def t_neighbors(v):
-        out = []
-        for u in verts:
-            if u != v and eid_of(u, v) in ts:
-                out.append(u)
-        return out
-
     def star(v, without=frozenset()):
         return frozenset(
             eid_of(u, v) for u in verts if u != v
         ) - frozenset(without)
 
-    v = min((u for u in verts if len(t_neighbors(u)) <= 2), default=None)
+    t_degree: dict[VertexId, int] = {}
+    for t in ts:
+        for u in H.edge(t).ends:
+            t_degree[u] = t_degree.get(u, 0) + 1
+    v = min((u for u in verts if t_degree.get(u, 0) <= 2), default=None)
     _require(v is not None, "no vertex of prescribed degree at most two")
-    nbrs = t_neighbors(v)
+    nbrs = sorted(H.edge(t).other(v) for t in ts if H.edge(t).covers(v))
 
     if len(nbrs) == 2:
-        x, y = sorted(nbrs)
+        x, y = nbrs
         rest = ts - {eid_of(v, x), eid_of(v, y)}
         if all(H.edge(t).covers(x) for t in rest):
             # rest is a spanning star at x; one of its leaves has prescribed

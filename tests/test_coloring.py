@@ -1,6 +1,8 @@
 """Matching partitions, connectivity of pair unions, transversals, and the
 end-counting identity."""
 
+from itertools import combinations
+
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -13,9 +15,9 @@ from kempe_minors.coloring import (
     verify_matching_partition,
     verify_transversal,
 )
-from kempe_minors.errors import UnknownVertexError
+from kempe_minors.errors import UnknownEdgeIdError, UnknownVertexError
 from kempe_minors.generators import gen_circulant, k4_seed
-from kempe_minors.graph import Multigraph, edge
+from kempe_minors.graph import Multigraph, edge, edge_components
 
 
 def square_with_colors():
@@ -30,6 +32,43 @@ def square_with_colors():
     )
     part = MatchingPartition.of([{"ab", "cd"}, {"bc", "ad"}])
     return H, part
+
+
+@st.composite
+def partitioned_multigraphs(draw):
+    """A multigraph (parallel edges allowed) with a random partition of its
+    edges into k <= 5 classes; classes may be empty, may share endpoints,
+    and their pair unions may be disconnected."""
+    n = draw(st.integers(min_value=2, max_value=6))
+    names = [f"v{i}" for i in range(n)]
+    pairs = draw(
+        st.lists(
+            st.tuples(st.sampled_from(names), st.sampled_from(names)).filter(
+                lambda p: p[0] != p[1]
+            ),
+            max_size=12,
+        )
+    )
+    H = Multigraph(names, [edge(f"e{i}", u, v) for i, (u, v) in enumerate(pairs)])
+    k = draw(st.integers(min_value=1, max_value=5))
+    owner = draw(
+        st.lists(
+            st.integers(min_value=0, max_value=k - 1),
+            min_size=len(pairs),
+            max_size=len(pairs),
+        )
+    )
+    classes = [{f"e{i}" for i, c in enumerate(owner) if c == j} for j in range(k)]
+    return H, MatchingPartition.of(classes)
+
+
+def first_disconnected_union(H, part):
+    """The Kempe property by its definition: the violation for the first
+    pair, in combinations order, whose union is not one edge component."""
+    for i, j in combinations(range(part.k), 2):
+        if len(edge_components(H, part.classes[i] | part.classes[j])) != 1:
+            return (f"union of classes {i} and {j} is not connected",)
+    return ()
 
 
 class TestMatchingPartition:
@@ -75,6 +114,19 @@ class TestMatchingPartition:
         )
         assert any("empty" in v for v in verdict.violations)
 
+    def test_full_verdict_in_order(self):
+        H, _ = square_with_colors()
+        verdict = verify_matching_partition(
+            H, MatchingPartition.of([{"ab", "bc", "zz"}, {"ab", "cd"}, set()])
+        )
+        assert verdict.violations == (
+            "class 0: unknown edge 'zz'",
+            "class 0: edges 'ab' and 'bc' share vertex 'b'",
+            "edge 'ab' occurs in classes 0 and 1",
+            "class 2 is empty",
+            "edge 'ad' is in no class",
+        )
+
 
 class TestKempe:
     def test_square_pair_union_connected(self):
@@ -95,6 +147,25 @@ class TestKempe:
     def test_k4_is_kempe(self):
         H, part = k4_seed()
         assert verify_kempe(H, part)
+
+    @settings(max_examples=300, deadline=None)
+    @given(partitioned_multigraphs())
+    def test_agrees_with_definition(self, instance):
+        H, part = instance
+        expected = first_disconnected_union(H, part)
+        verdict = verify_kempe(H, part)
+        assert verdict.ok == (not expected)
+        assert verdict.violations == expected
+
+    @settings(max_examples=50, deadline=None)
+    @given(partitioned_multigraphs(), st.data())
+    def test_unknown_edge_raises(self, instance, data):
+        H, part = instance
+        i = data.draw(st.integers(min_value=0, max_value=part.k - 1))
+        classes = [set(c) for c in part.classes]
+        classes[i].add("zz")
+        with pytest.raises(UnknownEdgeIdError):
+            verify_kempe(H, MatchingPartition.of(classes))
 
 
 class TestTransversal:

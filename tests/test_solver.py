@@ -1,6 +1,9 @@
 """The constructive solver: base cases, parallel-edge constructions, the
 complete-graph endgame, the Menger branch, and the separator branch."""
 
+import hashlib
+import json
+import random
 from itertools import combinations
 
 import pytest
@@ -250,7 +253,32 @@ class TestParallel:
         assert trace.kinds() == ("parallel",)
 
 
+# sha256 of the bag lists solve_complete returns on complete_graph(n) for
+# eight seeded random T sets and one spanning star at the first vertex plus
+# the edge between the next two.  The bags depend on the pivot choice (the
+# least vertex of T-degree at most two), so the pin holds them fixed across
+# changes to how that pivot is found.
+PINNED_COMPLETE_BAGS = {
+    7: "68f8679a4c19e214055b323db340a7ec71c85e84a398dcaf839150a8f480cdfe",
+    9: "c7144b40eb05e493a3d13e3375f351b399a5b066e4ac5ecf689d0a1965c7522e",
+    11: "2f3535c2845b92654e1c9f4f2efbc29d4aeca1ea1110efa8a1dbf6de3829ec9d",
+}
+
+
 class TestCompleteEndgame:
+    @pytest.mark.parametrize("n", sorted(PINNED_COMPLETE_BAGS))
+    def test_bags_are_pinned(self, n):
+        H = complete_graph(n)
+        rng = random.Random(n)
+        prescriptions = [rng.sample(H.edge_ids, n) for _ in range(8)]
+        v = H.vertices
+        prescriptions.append(list(H.edges_at(v[0])) + [f"e{v[1]}-{v[2]}"])
+        systems = [
+            [sorted(b) for b in solve_complete(H, T).bags] for T in prescriptions
+        ]
+        digest = hashlib.sha256(json.dumps(systems).encode()).hexdigest()
+        assert digest == PINNED_COMPLETE_BAGS[n]
+
     def test_fallback_certificate_on_k5(self):
         H, part = k5_round_robin()
         cert = assert_complete_fallback(H, part)
