@@ -7,7 +7,7 @@ import pytest
 from kempe_minors.coloring import MatchingPartition
 from kempe_minors.errors import ParseError, SchemaViolationError
 from kempe_minors.generators import gen_circulant, k4_seed
-from kempe_minors.graph import line_graph
+from kempe_minors.graph import Multigraph, edge, line_graph
 from kempe_minors.serialization import (
     emit_instance,
     emit_solution,
@@ -131,9 +131,71 @@ class TestDiagnostics:
             parse_solution("{}")
 
 
+def parallel_multigraph():
+    """A parallel pair m, d, ids out of endpoint order, an isolated vertex."""
+    return Multigraph(
+        ["w", "x", "y", "z", "u"],
+        [
+            edge("m", "x", "y"),
+            edge("d", "y", "x"),
+            edge("k", "y", "z"),
+            edge("a", "z", "w"),
+            edge("c", "x", "w"),
+        ],
+    )
+
+
+# The full DOT text of the line graph: one node per edge id, then one line
+# per pair a < b of edges sharing an end, grouped by a and sorted by b.
+K4_DOT = """graph L {
+  node [shape=box];
+  "e01";
+  "e02";
+  "e03";
+  "e12";
+  "e13";
+  "e23";
+  "e01" -- "e02";
+  "e01" -- "e03";
+  "e01" -- "e12";
+  "e01" -- "e13";
+  "e02" -- "e03";
+  "e02" -- "e12";
+  "e02" -- "e23";
+  "e03" -- "e13";
+  "e03" -- "e23";
+  "e12" -- "e13";
+  "e12" -- "e23";
+  "e13" -- "e23";
+}
+"""
+PARALLEL_DOT = """graph L {
+  node [shape=box];
+  "a";
+  "c";
+  "d";
+  "k";
+  "m";
+  "a" -- "c";
+  "a" -- "k";
+  "c" -- "d";
+  "c" -- "m";
+  "d" -- "k";
+  "d" -- "m";
+  "k" -- "m";
+}
+"""
+EDGELESS_DOT = """graph L {
+  node [shape=box];
+}
+"""
+
+
 class TestDot:
     def test_line_graph_dot(self):
-        H, part = k4_seed()
-        dot = line_graph_to_dot(line_graph(H))
-        assert dot.startswith("graph L {")
-        assert '"e01" -- "e02"' in dot
+        for H, text in (
+            (k4_seed()[0], K4_DOT),
+            (parallel_multigraph(), PARALLEL_DOT),
+            (Multigraph(["a", "b"], []), EDGELESS_DOT),
+        ):
+            assert line_graph_to_dot(line_graph(H)) == text
