@@ -26,12 +26,10 @@ from .generators import (
 )
 from .graph import (
     EdgeRecord,
-    LineGraphView,
     Multigraph,
     contract,
     edge,
     edge_components,
-    line_graph,
 )
 from .oracle import OracleBudget, oracle_solve
 from .paths import (
@@ -44,7 +42,6 @@ from .paths import (
 )
 from .solver import (
     BagSystem,
-    CompleteFallback,
     ReductionTrace,
     TraceStep,
     assert_complete_fallback,
@@ -55,9 +52,7 @@ from .solver import (
 
 __all__ = [
     "BagSystem",
-    "CompleteFallback",
     "EdgeRecord",
-    "LineGraphView",
     "MatchingPartition",
     "Multigraph",
     "OracleBudget",
@@ -78,7 +73,6 @@ __all__ = [
     "gen_circulant",
     "is_perfect_one_factorization",
     "k4_seed",
-    "line_graph",
     "oracle_solve",
     "pair_end_count",
     "pair_subgraph_ends",

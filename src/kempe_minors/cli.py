@@ -20,7 +20,6 @@ from .errors import (
     SchemaViolationError,
 )
 from .generators import delete_vertex, gen_circulant, k4_seed, splice
-from .graph import line_graph
 from .oracle import OracleBudget, oracle_solve
 from .serialization import (
     emit_instance,
@@ -37,12 +36,36 @@ EXIT_USAGE = 2
 EXIT_INTERNAL = 3
 
 
-def _read_instance(path: str):
-    return parse_instance(Path(path).read_text())
+def _read(path, parse):
+    """Parse a document file, which JSON requires to be UTF-8; a ParseError
+    names the file."""
+    data = Path(path).read_bytes()
+    try:
+        return parse(data.decode("utf-8"))
+    except UnicodeDecodeError as exc:
+        raise ParseError(f"{path}: byte {exc.start}: not UTF-8 ({exc.reason})") from None
+    except ParseError as exc:
+        raise ParseError(f"{path}: {exc}") from None
+
+
+def _read_instance(path):
+    return _read(path, parse_instance)
 
 
 def _default_transversal(part):
+    for i, cls in enumerate(part.classes):
+        if not cls:
+            raise InvalidInputError(f"class {i} is empty and there is no transversal")
     return frozenset(min(cls) for cls in part.classes)
+
+
+def _shifts(text: str) -> tuple[int, ...]:
+    try:
+        return tuple(int(s) for s in text.split(","))
+    except ValueError:
+        raise argparse.ArgumentTypeError(
+            f"expected comma-separated integers, got {text!r}"
+        ) from None
 
 
 def _cmd_solve(args) -> int:
@@ -60,7 +83,7 @@ def _cmd_solve(args) -> int:
 
 def _cmd_check(args) -> int:
     H, part, T = _read_instance(args.instance)
-    bags = parse_solution(Path(args.solution).read_text())
+    bags = _read(args.solution, parse_solution)
     if T is None:
         print("instance has no transversal; add one or use `verify`", file=sys.stderr)
         return EXIT_USAGE
@@ -105,15 +128,14 @@ def _cmd_oracle(args) -> int:
 
 def _cmd_linegraph(args) -> int:
     H, _part, _T = _read_instance(args.instance)
-    Path(args.output).write_text(line_graph_to_dot(line_graph(H)))
+    Path(args.output).write_text(line_graph_to_dot(H))
     print(f"wrote {args.output}")
     return EXIT_OK
 
 
 def _cmd_generate(args) -> int:
     if args.generator == "circulant":
-        shifts = tuple(int(s) for s in args.shifts.split(","))
-        H, part = gen_circulant(args.m, shifts)
+        H, part = gen_circulant(args.m, args.shifts)
     elif args.generator == "splice":
         ha, pa, _ = _read_instance(args.a)
         hb, pb, _ = _read_instance(args.b)
@@ -137,7 +159,7 @@ def _cmd_corpus_run(args) -> int:
     failures = 0
     for path in files:
         try:
-            H, part, T = parse_instance(path.read_text())
+            H, part, T = _read_instance(path)
             ts = T if T is not None else _default_transversal(part)
             # solve validates the instance and verifies its own output
             bags, _trace = solve(H, part, ts)
@@ -174,7 +196,9 @@ def build_parser() -> argparse.ArgumentParser:
     gsub = gen.add_subparsers(dest="generator", required=True)
     p = gsub.add_parser("circulant")
     p.add_argument("--m", type=int, required=True)
-    p.add_argument("--shifts", required=True, help="comma-separated, e.g. 0,1,2")
+    p.add_argument(
+        "--shifts", type=_shifts, required=True, help="comma-separated, e.g. 0,1,2"
+    )
     p.add_argument("-o", "--output", required=True)
     p.set_defaults(func=_cmd_generate)
     p = gsub.add_parser("splice")

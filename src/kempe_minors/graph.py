@@ -8,8 +8,8 @@ operations are pure.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-from typing import Iterable, Iterator, Mapping
+from dataclasses import dataclass
+from typing import Iterable, Iterator
 
 from .errors import (
     DisconnectedContractionSetError,
@@ -166,45 +166,6 @@ class Multigraph:
         return Multigraph(
             self._vertices - {v}, (e for e in self.edges() if not e.covers(v))
         )
-
-
-@dataclass(frozen=True)
-class LineGraphView:
-    """The line graph of a multigraph: nodes are edge ids, adjacent when the
-    underlying edges are distinct and share an endpoint."""
-
-    nodes: frozenset[EdgeId]
-    adjacency: Mapping[EdgeId, frozenset[EdgeId]] = field(hash=False)
-
-    def neighbors(self, n: EdgeId) -> frozenset[EdgeId]:
-        return self.adjacency[n]
-
-    def adjacent(self, a: EdgeId, b: EdgeId) -> bool:
-        return b in self.adjacency[a]
-
-    def degree(self, n: EdgeId) -> int:
-        return len(self.adjacency[n])
-
-    def num_adjacencies(self) -> int:
-        return sum(len(ns) for ns in self.adjacency.values()) // 2
-
-
-def line_graph(H: Multigraph) -> LineGraphView:
-    """Derive L(H).
-
-    Parallel edges of H become distinct, adjacent nodes; the view itself is
-    always simple.
-    """
-    adj: dict[EdgeId, set[EdgeId]] = {eid: set() for eid in H.edge_ids}
-    for v in H.vertices:
-        at = H.edges_at(v)
-        for i, a in enumerate(at):
-            for b in at[i + 1:]:
-                adj[a].add(b)
-                adj[b].add(a)
-    return LineGraphView(
-        frozenset(H.edge_ids), {eid: frozenset(ns) for eid, ns in adj.items()}
-    )
 
 
 def edge_components(H: Multigraph, F: Iterable[EdgeId]) -> tuple[frozenset[EdgeId], ...]:

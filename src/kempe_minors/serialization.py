@@ -13,7 +13,7 @@ from typing import Any, Optional
 
 from .coloring import MatchingPartition
 from .errors import KempeMinorError, ParseError, SchemaViolationError
-from .graph import EdgeRecord, LineGraphView, Multigraph
+from .graph import EdgeRecord, Multigraph
 from .solver import BagSystem, ReductionTrace
 
 ParsedInstance = tuple[Multigraph, MatchingPartition, Optional[frozenset]]
@@ -30,6 +30,8 @@ def _load(text: str) -> Any:
         return json.loads(text)
     except json.JSONDecodeError as exc:
         raise ParseError(f"line {exc.lineno}, column {exc.colno}: {exc.msg}") from None
+    except RecursionError:
+        raise ParseError("arrays and objects nest too deeply to parse") from None
 
 
 def parse_instance(text: str) -> ParsedInstance:
@@ -133,16 +135,13 @@ def _jsonable(value: Any) -> Any:
 # DOT export
 
 
-def line_graph_to_dot(L: LineGraphView) -> str:
+def line_graph_to_dot(H: Multigraph) -> str:
+    """The line graph of H in DOT: one node per edge id, and one line per
+    pair a < b of edges sharing an end, grouped by a and sorted by b."""
     lines = ["graph L {", "  node [shape=box];"]
-    for n in sorted(L.nodes):
-        lines.append(f'  "{n}";')
-    done = set()
-    for n in sorted(L.nodes):
-        for m in sorted(L.neighbors(n)):
-            if (m, n) in done:
-                continue
-            done.add((n, m))
-            lines.append(f'  "{n}" -- "{m}";')
+    lines += [f'  "{eid}";' for eid in H.edge_ids]
+    for e in H.edges():
+        later = {f for v in e.ends for f in H.edges_at(v) if f > e.id}
+        lines += [f'  "{e.id}" -- "{f}";' for f in sorted(later)]
     lines.append("}")
     return "\n".join(lines) + "\n"

@@ -79,16 +79,6 @@ class ReductionTrace:
         return tuple(s.kind for s in self.steps)
 
 
-@dataclass(frozen=True)
-class CompleteFallback:
-    """Confirmation that the leftover case is the complete graph on k vertices:
-    every covered vertex has degree ``max_deg`` = k-1 and there are k of them.
-    """
-
-    max_deg: int
-    k: int
-
-
 def _require(cond: bool, fact: str) -> None:
     if not cond:
         raise InternalAssertionError(fact)
@@ -291,9 +281,7 @@ def _solve_with_parallel(
 # complete-graph endgame
 
 
-def assert_complete_fallback(
-    H: Multigraph, part: MatchingPartition
-) -> CompleteFallback:
+def assert_complete_fallback(H: Multigraph, part: MatchingPartition) -> None:
     """Confirm the leftover case: H is the simple complete graph on k vertices.
 
     Preconditions: no vertex of degree k, H simple, partition Kempe-verified.
@@ -314,7 +302,6 @@ def assert_complete_fallback(
     adjacent = {e.ends for e in H.edges()}
     for u, v in combinations(verts, 2):
         _require((u, v) in adjacent, f"vertices {u!r},{v!r} are not adjacent")
-    return CompleteFallback(delta, k)
 
 
 def solve_complete(H: Multigraph, T: Iterable[EdgeId]) -> BagSystem:
@@ -323,12 +310,6 @@ def solve_complete(H: Multigraph, T: Iterable[EdgeId]) -> BagSystem:
     T may be any set of n edges of the complete graph on n >= 3 vertices,
     not necessarily a matching transversal.  Returns n bags, each with one
     T-edge.
-
-    The construction recurses n - 3 levels deep, one vertex per level.  It
-    raises RecursionError once those levels plus the caller's own stack
-    depth exceed the interpreter's recursion limit
-    (``sys.getrecursionlimit()``, 1000 by default), that is from K_n with n
-    a few below the limit upwards.
     """
     ts = frozenset(T)
     verts = sorted(H.covered_vertices())
@@ -337,104 +318,101 @@ def solve_complete(H: Multigraph, T: Iterable[EdgeId]) -> BagSystem:
         raise InvalidInputError(f"need at least 3 vertices, have {n}")
     if not H.is_simple():
         raise InvalidInputError("graph is not simple")
-    by_pair: dict[tuple[VertexId, VertexId], EdgeId] = {}
-    for e in H.edges():
-        by_pair[e.ends] = e.id
+    adjacent = {e.ends for e in H.edges()}
     for u, v in combinations(verts, 2):
-        if (u, v) not in by_pair:
+        if (u, v) not in adjacent:
             raise InvalidInputError(f"graph is not complete: no edge {u!r},{v!r}")
     if len(ts) != n:
         raise InvalidInputError(f"|T| = {len(ts)}, need n = {n}")
     for eid in ts:
         H.edge(eid)
+    return BagSystem(tuple(_complete_bags(H, ts)))
+
+
+def _complete_bags(H: Multigraph, ts: frozenset[EdgeId]) -> list[frozenset[EdgeId]]:
+    """The construction behind solve_complete, on a checked complete graph.
+
+    Each level removes one pivot vertex v and prescribes n - 1 edges of the
+    smaller complete graph; K_3 takes its three T-edges as bags.  On the way
+    down each level records a fix-up (case, star of v, witnesses), and on
+    the way up the fix-ups turn the smaller graph's bags into this level's,
+    deepest first.
+    """
+    by_pair = {e.ends: e.id for e in H.edges()}
 
     def eid_of(u: VertexId, v: VertexId) -> EdgeId:
         return by_pair[(u, v) if u < v else (v, u)]
 
-    bags = _lemma_complete(verts, ts, eid_of, H)
-    return BagSystem(tuple(bags))
+    verts = sorted(H.covered_vertices())
+    fixups: list[tuple[str, frozenset[EdgeId], tuple]] = []
+    while len(verts) > 3:
+        t_degree: dict[VertexId, int] = {}
+        for t in ts:
+            for u in H.edge(t).ends:
+                t_degree[u] = t_degree.get(u, 0) + 1
+        v = min((u for u in verts if t_degree.get(u, 0) <= 2), default=None)
+        _require(v is not None, "no vertex of prescribed degree at most two")
+        nbrs = sorted(H.edge(t).other(v) for t in ts if H.edge(t).covers(v))
 
+        if len(nbrs) == 2:
+            x, y = nbrs
+            rest = ts - {eid_of(v, x), eid_of(v, y)}
+            if all(H.edge(t).covers(x) for t in rest):
+                # rest is a spanning star at x; one of its leaves has
+                # prescribed degree one, so pivot on that leaf instead.
+                leaves = [u for u in verts if u not in (v, x, y)]
+                _require(bool(leaves), "spanning star without a free leaf")
+                v, nbrs = min(leaves), [x]
 
-def _lemma_complete(verts, ts, eid_of, H) -> list[frozenset[EdgeId]]:
-    n = len(verts)
-    if n == 3:
-        return [frozenset({t}) for t in sorted(ts)]
-
-    def star(v, without=frozenset()):
-        return frozenset(
-            eid_of(u, v) for u in verts if u != v
-        ) - frozenset(without)
-
-    t_degree: dict[VertexId, int] = {}
-    for t in ts:
-        for u in H.edge(t).ends:
-            t_degree[u] = t_degree.get(u, 0) + 1
-    v = min((u for u in verts if t_degree.get(u, 0) <= 2), default=None)
-    _require(v is not None, "no vertex of prescribed degree at most two")
-    nbrs = sorted(H.edge(t).other(v) for t in ts if H.edge(t).covers(v))
-
-    if len(nbrs) == 2:
-        x, y = nbrs
-        rest = ts - {eid_of(v, x), eid_of(v, y)}
-        if all(H.edge(t).covers(x) for t in rest):
-            # rest is a spanning star at x; one of its leaves has prescribed
-            # degree one, so restart from that leaf instead.
-            leaves = [u for u in verts if u not in (v, x, y)]
-            _require(bool(leaves), "spanning star without a free leaf")
-            v, nbrs = min(leaves), [x]
-        else:
-            zs = [
-                z
-                for z in verts
-                if z not in (v, x) and eid_of(x, z) not in ts
-            ]
+        star = frozenset(eid_of(u, v) for u in verts if u != v)
+        if len(nbrs) == 2:
+            zs = [z for z in verts if z not in (v, x) and eid_of(x, z) not in ts]
             _require(bool(zs), "no free edge at the degree-two pivot")
-            z = min(zs)
-            sub_t = rest | {eid_of(x, z)}
-            sub = _lemma_complete([u for u in verts if u != v], sub_t, eid_of, H)
-            fi = next(i for i, bag in enumerate(sub) if eid_of(x, z) in bag)
-            grown = sub[fi] | {eid_of(v, x)}
-            out = [bag for i, bag in enumerate(sub) if i != fi]
-            return out + [grown, star(v, {eid_of(v, x)})]
+            xz = eid_of(x, min(zs))
+            fixups.append(("two", star - {eid_of(v, x)}, (xz, eid_of(v, x))))
+            ts = rest | {xz}
+        elif len(nbrs) == 1:
+            fixups.append(("one", star, ()))
+            ts = ts - {eid_of(v, nbrs[0])}
+        else:
+            _require(len(nbrs) == 0, "pivot vertex has more than two prescribed neighbors")
+            xy = min(ts)
+            fixups.append(("zero", star, (v, xy, ts)))
+            ts = ts - {xy}
+        verts = [u for u in verts if u != v]
 
-    if len(nbrs) == 1:
-        x = nbrs[0]
-        sub = _lemma_complete(
-            [u for u in verts if u != v], ts - {eid_of(v, x)}, eid_of, H
-        )
-        return sub + [star(v)]
-
-    _require(len(nbrs) == 0, "pivot vertex has more than two prescribed neighbors")
-    xy = min(ts)
-    x, y = H.edge(xy).ends
-    sub = _lemma_complete([u for u in verts if u != v], ts - {xy}, eid_of, H)
-    holder = [i for i, bag in enumerate(sub) if xy in bag]
-    if not holder:
-        return sub + [star(v) | {xy}]
-    fi = holder[0]
-    bag_f = sub[fi]
-    wz_cands = sorted((bag_f & ts) - {xy})
-    _require(len(wz_cands) == 1, "bag holds more than one prescribed edge")
-    wz = wz_cands[0]
-    p, q = H.edge(wz).ends
-    _require(not ({p, q} <= {x, y}), "prescribed edges coincide")
-    if q in (x, y):
-        w = p
-    elif p in (x, y):
-        w = q
-    else:
-        w = min(p, q)
-    # put w on x's side of the bag split by removing xy; swap x and y if
-    # the component containing w sees y but not x
-    comps = edge_components(H, bag_f - {xy})
-    wc = next(c for c in comps if w in H.covered(c))
-    cov = H.covered(wc)
-    if x not in cov and y in cov:
-        x, y = y, x
-    f1 = (bag_f - {xy}) | {eid_of(v, w), eid_of(v, y)}
-    f2 = star(v, {eid_of(v, w), eid_of(v, y)}) | {xy}
-    out = [bag for i, bag in enumerate(sub) if i != fi]
-    return out + [f1, f2]
+    bags = [frozenset({t}) for t in sorted(ts)]
+    for case, star, witnesses in reversed(fixups):
+        if case == "one":
+            bags.append(star)
+        elif case == "two":
+            # the v-x edge joins the bag of the substitute x-z edge
+            xz, vx = witnesses
+            fi = next(i for i, bag in enumerate(bags) if xz in bag)
+            grown = bags.pop(fi) | {vx}
+            bags += [grown, star]
+        else:
+            v, xy, level_ts = witnesses
+            holder = [i for i, bag in enumerate(bags) if xy in bag]
+            if not holder:
+                bags.append(star | {xy})
+                continue
+            bag_f = bags.pop(holder[0])
+            wz_cands = sorted((bag_f & level_ts) - {xy})
+            _require(len(wz_cands) == 1, "bag holds more than one prescribed edge")
+            x, y = H.edge(xy).ends
+            p, q = H.edge(wz_cands[0]).ends
+            _require(not ({p, q} <= {x, y}), "prescribed edges coincide")
+            w = min({p, q} - {x, y})
+            # put w on x's side of the bag split by removing xy; swap x and y
+            # if the component containing w sees y but not x
+            comps = edge_components(H, bag_f - {xy})
+            cov = H.covered(next(c for c in comps if w in H.covered(c)))
+            if x not in cov and y in cov:
+                x, y = y, x
+            vw_vy = {eid_of(v, w), eid_of(v, y)}
+            bags += [(bag_f - {xy}) | vw_vy, (star - vw_vy) | {xy}]
+    return bags
 
 
 # ---------------------------------------------------------------------------
@@ -489,12 +467,9 @@ def _solve_rec(
     if full:
         return _solve_menger(H, classes, ts, full[0], trace)
 
-    part = MatchingPartition(tuple(classes))
-    fallback = assert_complete_fallback(H, part)
-    trace.append(
-        TraceStep("complete", {"k": fallback.k, "max_deg": fallback.max_deg})
-    )
-    return list(solve_complete(H, ts).bags)
+    assert_complete_fallback(H, MatchingPartition(tuple(classes)))
+    trace.append(TraceStep("complete", {"k": k, "max_deg": k - 1}))
+    return _complete_bags(H, ts)
 
 
 def _solve_menger(

@@ -89,6 +89,26 @@ class TestSolveAndCheck:
         path.write_text(json.dumps(doc))
         assert main(["verify", "-i", str(path)]) == EXIT_USAGE
 
+    def test_non_utf8_document_is_a_usage_error(self, tmp_path, capsys):
+        inst = k4_instance(tmp_path)
+        bad = tmp_path / "latin1.json"
+        bad.write_bytes(b'{"vertices": ["\xe9"]}')
+        out = str(tmp_path / "solution.json")
+        for argv in (
+            ["verify", "-i", str(bad)],
+            ["solve", "-i", str(bad), "-o", out],
+            ["check", "-i", str(bad), "-s", out],
+            ["check", "-i", inst, "-s", str(bad)],
+        ):
+            assert main(argv) == EXIT_USAGE
+            assert f"{bad}: byte 15: not UTF-8" in capsys.readouterr().err
+
+    def test_deep_nesting_is_a_usage_error(self, tmp_path, capsys):
+        path = tmp_path / "deep.json"
+        path.write_text("[" * 100000)
+        assert main(["verify", "-i", str(path)]) == EXIT_USAGE
+        assert f"{path}: arrays and objects nest too deeply" in capsys.readouterr().err
+
     def test_missing_file_is_a_usage_error(self, tmp_path):
         assert (
             main(["verify", "-i", str(tmp_path / "absent.json")]) == EXIT_USAGE
@@ -135,6 +155,13 @@ class TestGenerate:
         )
         assert code == EXIT_REJECT
 
+    def test_non_integer_shift_is_a_usage_error(self, tmp_path, capsys):
+        out = str(tmp_path / "c.json")
+        with pytest.raises(SystemExit) as info:
+            main(["generate", "circulant", "--m", "5", "--shifts", "0,x,2", "-o", out])
+        assert info.value.code == EXIT_USAGE
+        assert "expected comma-separated integers, got '0,x,2'" in capsys.readouterr().err
+
     def test_splice_and_delete(self, tmp_path):
         a = tmp_path / "a.json"
         main(["generate", "circulant", "--m", "5", "--shifts", "0,1,2", "-o", str(a)])
@@ -159,7 +186,20 @@ class TestGenerate:
         assert main(["verify", "-i", str(dl)]) == EXIT_OK
 
 
+EMPTY_CLASS = {
+    "vertices": ["a", "b"],
+    "edges": [{"id": "ab", "ends": ["a", "b"]}],
+    "classes": [["ab"], []],
+}
+
+
 class TestOracleCommand:
+    def test_empty_class_without_transversal(self, tmp_path, capsys):
+        path = tmp_path / "empty-class.json"
+        path.write_text(json.dumps(EMPTY_CLASS))
+        assert main(["oracle", "-i", str(path)]) == EXIT_REJECT
+        assert "class 1 is empty" in capsys.readouterr().err
+
     def test_feasible(self, tmp_path, capsys):
         inst = k4_instance(tmp_path)
         assert main(["oracle", "-i", inst]) == EXIT_OK
@@ -235,6 +275,23 @@ class TestCorpusRun:
         out = capsys.readouterr().out
         assert "k4.json: FAIL" in out
         assert "class 0 is hit 2 times" in out
+
+    def test_malformed_documents_fail_one_by_one(self, tmp_path, capsys):
+        d = tmp_path / "corpus"
+        d.mkdir()
+        (d / "deep.json").write_text("[" * 100000)
+        (d / "empty-class.json").write_text(json.dumps(EMPTY_CLASS))
+        (d / "latin1.json").write_bytes(b'{"vertices": ["\xe9"]}')
+        H, part = k4_seed()
+        write_instance(d / "k4.json", H, part)
+        assert main(["corpus", "run", "--dir", str(d)]) == EXIT_REJECT
+        lines = capsys.readouterr().out.splitlines()
+        assert lines[0].startswith("deep.json: FAIL (")
+        assert "nest too deeply" in lines[0]
+        assert lines[1].startswith("empty-class.json: FAIL (class 1 is empty")
+        assert lines[2] == "k4.json: ok (3 bags)"
+        assert lines[3].startswith("latin1.json: FAIL (")
+        assert "byte 15: not UTF-8" in lines[3]
 
     def test_empty_directory(self, tmp_path):
         d = tmp_path / "empty"

@@ -7,7 +7,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from kempe_minors.errors import InsufficientConnectivityError, NotTwoSidesError
-from kempe_minors.graph import Multigraph, contract, edge, line_graph
+from kempe_minors.graph import Multigraph, contract, edge
 from kempe_minors.paths import (
     PathSystem,
     Separator,
@@ -15,6 +15,7 @@ from kempe_minors.paths import (
     edge_disjoint_paths,
     split_sides,
 )
+from linegraph import line_graph
 
 
 def grid_2x3():
@@ -52,7 +53,7 @@ def separates(G, X, us, ts):
     stack = list(seen)
     while stack:
         n = stack.pop()
-        for m in G.neighbors(n):
+        for m in G[n]:
             if m not in X and m not in seen:
                 seen.add(m)
                 stack.append(m)
@@ -86,7 +87,7 @@ class TestVertexDisjoint:
             assert p[-1] in ts
             # internally disjoint from T: only the last node is a target
             assert all(n not in ts for n in p[:-1])
-            assert all(L.adjacent(p[i], p[i + 1]) for i in range(len(p) - 1))
+            assert all(p[i + 1] in L[p[i]] for i in range(len(p) - 1))
 
     def test_separator_on_bottleneck(self):
         # a triangle with a pendant path: every route to the tail edge
@@ -135,7 +136,7 @@ class TestVertexDisjoint:
         S = result.nodes
         assert S == {"mx", "cx"}
         assert separates(L, S, us, ts)
-        for X in combinations(sorted(L.nodes), len(S) - 1):
+        for X in combinations(sorted(L), len(S) - 1):
             assert not separates(L, frozenset(X), us, ts)
         # the lift: one edge-disjoint path per separator edge from w to the
         # contracted far side, each a path of L(H) crossing S once
@@ -147,7 +148,7 @@ class TestVertexDisjoint:
         assert set().union(*psys.paths) & S == S
         for p in psys.paths:
             assert p[0] in us and p[-1] in S
-            assert all(L.adjacent(p[i], p[i + 1]) for i in range(len(p) - 1))
+            assert all(p[i + 1] in L[p[i]] for i in range(len(p) - 1))
 
     def test_rejects_bad_arguments(self):
         H = grid_2x3()
@@ -162,7 +163,7 @@ class TestVertexDisjoint:
     @given(small_graphs(), st.data())
     def test_paths_or_minimum_separator(self, H, data):
         L = line_graph(H)
-        nodes = sorted(L.nodes)
+        nodes = sorted(L)
         us = frozenset(
             data.draw(st.sets(st.sampled_from(nodes), min_size=1, max_size=3))
         )
@@ -178,7 +179,7 @@ class TestVertexDisjoint:
             for p in result.paths:
                 assert p[0] in us and p[-1] in ts
                 assert all(n not in ts for n in p[:-1])
-                assert all(L.adjacent(p[i], p[i + 1]) for i in range(len(p) - 1))
+                assert all(p[i + 1] in L[p[i]] for i in range(len(p) - 1))
         else:
             S = result.nodes
             assert len(S) < k

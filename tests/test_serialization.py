@@ -7,7 +7,7 @@ import pytest
 from kempe_minors.coloring import MatchingPartition
 from kempe_minors.errors import ParseError, SchemaViolationError
 from kempe_minors.generators import gen_circulant, k4_seed
-from kempe_minors.graph import Multigraph, edge, line_graph
+from kempe_minors.graph import Multigraph, edge
 from kempe_minors.serialization import (
     emit_instance,
     emit_solution,
@@ -198,4 +198,4 @@ class TestDot:
             (parallel_multigraph(), PARALLEL_DOT),
             (Multigraph(["a", "b"], []), EDGELESS_DOT),
         ):
-            assert line_graph_to_dot(line_graph(H)) == text
+            assert line_graph_to_dot(H) == text

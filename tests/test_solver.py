@@ -4,6 +4,7 @@ complete-graph endgame, the Menger branch, and the separator branch."""
 import hashlib
 import json
 import random
+import sys
 from itertools import combinations
 
 import pytest
@@ -281,8 +282,7 @@ class TestCompleteEndgame:
 
     def test_fallback_certificate_on_k5(self):
         H, part = k5_round_robin()
-        cert = assert_complete_fallback(H, part)
-        assert cert.max_deg == 4 and cert.k == 5
+        assert assert_complete_fallback(H, part) is None
 
     def test_fallback_rejects_cycle(self):
         H = Multigraph(
@@ -298,6 +298,22 @@ class TestCompleteEndgame:
         part = MatchingPartition.of([{"ab", "cd"}, {"bc", "de"}, {"ae"}])
         with pytest.raises(InternalAssertionError):
             assert_complete_fallback(H, part)
+
+    def test_no_recursion_limit(self):
+        # K_200 takes 197 levels; 100 frames above the caller must do
+        H = complete_graph(200)
+        T = random.Random(200).sample(H.edge_ids, 200)
+        depth, frame = 0, sys._getframe()
+        while frame is not None:
+            depth, frame = depth + 1, frame.f_back
+        limit = sys.getrecursionlimit()
+        sys.setrecursionlimit(depth + 100)
+        try:
+            bags = solve_complete(H, T)
+        finally:
+            sys.setrecursionlimit(limit)
+        part = MatchingPartition.of([{t} for t in sorted(T)])
+        assert verify_solution(H, part, T, bags)
 
     def test_solve_complete_exhaustive_k4(self):
         H = complete_graph(4)
