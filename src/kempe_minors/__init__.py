@@ -37,7 +37,6 @@ from .paths import (
     Separator,
     SideSplit,
     disjoint_paths_or_separator,
-    edge_disjoint_paths,
     split_sides,
 )
 from .solver import (
@@ -69,7 +68,6 @@ __all__ = [
     "disjoint_paths_or_separator",
     "edge",
     "edge_components",
-    "edge_disjoint_paths",
     "gen_circulant",
     "is_perfect_one_factorization",
     "k4_seed",

@@ -68,6 +68,12 @@ def _shifts(text: str) -> tuple[int, ...]:
         ) from None
 
 
+def _positive(text: str) -> int:
+    if not text.isdecimal() or int(text) < 1:
+        raise argparse.ArgumentTypeError(f"expected a positive integer, got {text!r}")
+    return int(text)
+
+
 def _cmd_solve(args) -> int:
     H, part, T = _read_instance(args.instance)
     if T is None:
@@ -219,7 +225,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("oracle", help="brute-force a small instance")
     p.add_argument("-i", "--instance", required=True)
-    p.add_argument("--max-edges", type=int, default=12)
+    p.add_argument("--max-edges", type=_positive, default=12)
     p.set_defaults(func=_cmd_oracle)
 
     p = sub.add_parser("linegraph", help="export the line graph as DOT")

@@ -37,10 +37,6 @@ class WouldCreateLoopError(KempeMinorError):
 
 # -- path and separator machinery -------------------------------------------
 
-class InsufficientConnectivityError(KempeMinorError):
-    """Fewer edge-disjoint paths exist than the caller requires."""
-
-
 class NotTwoSidesError(KempeMinorError):
     """Removing the given edge set does not leave exactly two edge sides."""
 

@@ -1,18 +1,18 @@
 """Menger-type subroutines.
 
-Three operations back the solver: vertex-disjoint path systems or minimum
-separators in the line graph L(H) of a multigraph, edge-disjoint path
-systems between two vertices of a multigraph, and splitting a graph along a
-separating edge set into its two edge sides.
+Two operations back the solver: vertex-disjoint path systems or minimum
+separators in the line graph L(H) of a multigraph, and splitting a graph
+along a separating edge set into its two edge sides.
 
-Both path finders run one unit-capacity augmenting-path flow on an
+The path finder runs one unit-capacity augmenting-path flow on an
 int-indexed residual network, with one path decomposition and a
 deterministic (ascending id) search order.  L(H) itself is never built:
 vertex-disjoint paths in L(H) are the paths of the vertex-edge incidence
 network of H that share no edge node, where each edge node has capacity
 one and each vertex is an uncapacitated hub standing in for the clique
 that L(H) has at it.  The minimum separators of the two coincide and are
-read off the final residual reachability.
+read off the final residual reachability; the flow's own paths, one
+through each separator edge, come with the separator.
 """
 
 from __future__ import annotations
@@ -20,24 +20,19 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Iterable, Union
 
-from .errors import (
-    InsufficientConnectivityError,
-    NotTwoSidesError,
-)
+from .errors import NotTwoSidesError
 from .graph import EdgeId, Multigraph, VertexId, edge_components
 
 
 @dataclass(frozen=True)
 class PathSystem:
-    """A system of pairwise disjoint paths.
+    """Pairwise vertex-disjoint paths of L(H).
 
-    ``mode`` is ``"vertex"`` or ``"edge"``.  In vertex mode each path is a
-    sequence of host-graph nodes; in edge mode each path is a sequence of
-    edge ids.  (On a line graph the two coincide: nodes are edge ids.)
+    Each path is a sequence of edge ids of H, consecutive ones sharing an
+    end; no edge id occurs twice in the system.
     """
 
-    mode: str
-    paths: tuple[tuple[str, ...], ...]
+    paths: tuple[tuple[EdgeId, ...], ...]
 
     def __len__(self) -> int:
         return len(self.paths)
@@ -45,9 +40,14 @@ class PathSystem:
 
 @dataclass(frozen=True)
 class Separator:
-    """A node set whose removal disconnects the declared sides."""
+    """A node set whose removal disconnects the declared sides.
 
-    nodes: frozenset[str]
+    ``paths`` are the maximum flow's disjoint paths, one per node: each
+    runs from a U-edge to its own separator edge and meets no other.
+    """
+
+    nodes: frozenset[EdgeId]
+    paths: tuple[tuple[EdgeId, ...], ...]
 
     def __len__(self) -> int:
         return len(self.nodes)
@@ -80,13 +80,13 @@ class _Residual:
         self.cap: list[int] = []
         self.base: list[int] = []  # capacities before the flow ran
 
-    def add(self, a: int, b: int, cap: int, back: int = 0) -> None:
-        """Add arc a->b of capacity ``cap`` and its reverse of capacity ``back``."""
+    def add(self, a: int, b: int, cap: int) -> None:
+        """Add arc a->b of capacity ``cap`` and its empty reverse."""
         j = len(self.head)
         self.out[a].append(j)
         self.out[b].append(j + 1)
         self.head += (b, a)
-        self.cap += (cap, back)
+        self.cap += (cap, 0)
 
     def max_flow(self, s: int, t: int, k: int) -> tuple[int, list[int]]:
         """Augment along shortest paths until k units flow or none is left.
@@ -164,7 +164,8 @@ def disjoint_paths_or_separator(
     that runs from a U-edge to a T-edge and is truncated at its first
     T-edge, so it meets T exactly once.  On failure the returned separator
     has minimum cardinality (hence fewer than k edges) and every U,T-path
-    of L(H) meets it.
+    of L(H) meets it; its paths are the flow's, one per separator edge,
+    each truncated at its first separator edge.
     """
     us = frozenset(U)
     ts = frozenset(T)
@@ -198,48 +199,19 @@ def disjoint_paths_or_separator(
         net.add(2 * index[t] + 1, snk, _INF)
 
     flow, mark = net.max_flow(src, snk, k)
-    if flow < k:
-        return Separator(frozenset(
-            eids[i] for i in range(m) if mark[2 * i] != -1 and mark[2 * i + 1] == -1
-        ))
+    # cut each of the flow's paths at its first T-edge, or on failure at its
+    # first edge of the minimum cut, which it crosses exactly once
+    stop = ts if flow == k else frozenset(
+        eids[i] for i in range(m) if mark[2 * i] != -1 and mark[2 * i + 1] == -1
+    )
     paths: list[tuple[EdgeId, ...]] = []
-    for arcs in net.paths(src, snk, k):
+    for arcs in net.paths(src, snk, flow):
         seq = [eids[j >> 1] for j in arcs if j < 2 * m]
-        first_t = next(i for i, eid in enumerate(seq) if eid in ts)
-        paths.append(tuple(seq[: first_t + 1]))
-    return PathSystem("vertex", tuple(paths))
-
-
-def edge_disjoint_paths(
-    H: Multigraph, a: VertexId, b: VertexId, k: int
-) -> PathSystem:
-    """Find k pairwise edge-disjoint simple a,b-paths, as edge-id sequences.
-
-    Raises InsufficientConnectivityError when the unit-capacity max flow
-    between a and b is below k.
-    """
-    if a == b:
-        raise ValueError("endpoints must be distinct")
-    H.edges_at(a)
-    H.edges_at(b)
-    if k < 1:
-        raise ValueError("k must be positive")
-
-    # Edge i is the arc pair 2i, 2i+1 with capacity one each way.
-    eids = H.edge_ids
-    node = {v: i for i, v in enumerate(H.vertices)}
-    net = _Residual(len(node))
-    for e in H.edges():
-        u, v = e.ends
-        net.add(node[u], node[v], 1, 1)
-    flow, _ = net.max_flow(node[a], node[b], k)
-    if flow < k:
-        raise InsufficientConnectivityError(
-            f"only {flow} edge-disjoint {a!r},{b!r}-paths exist, need {k}"
-        )
-    return PathSystem("edge", tuple(
-        tuple(eids[j >> 1] for j in arcs) for arcs in net.paths(node[a], node[b], k)
-    ))
+        first = next(i for i, eid in enumerate(seq) if eid in stop)
+        paths.append(tuple(seq[: first + 1]))
+    if flow == k:
+        return PathSystem(tuple(paths))
+    return Separator(stop, tuple(paths))
 
 
 def split_sides(H: Multigraph, S: Iterable[EdgeId]) -> SideSplit:

@@ -135,13 +135,18 @@ def _jsonable(value: Any) -> Any:
 # DOT export
 
 
+def _dot_id(eid: str) -> str:
+    """eid as a DOT quoted string, with backslashes and quotes escaped."""
+    return '"' + eid.replace("\\", "\\\\").replace('"', '\\"') + '"'
+
+
 def line_graph_to_dot(H: Multigraph) -> str:
     """The line graph of H in DOT: one node per edge id, and one line per
     pair a < b of edges sharing an end, grouped by a and sorted by b."""
     lines = ["graph L {", "  node [shape=box];"]
-    lines += [f'  "{eid}";' for eid in H.edge_ids]
+    lines += [f"  {_dot_id(eid)};" for eid in H.edge_ids]
     for e in H.edges():
         later = {f for v in e.ends for f in H.edges_at(v) if f > e.id}
-        lines += [f'  "{e.id}" -- "{f}";' for f in sorted(later)]
+        lines += [f"  {_dot_id(e.id)} -- {_dot_id(f)};" for f in sorted(later)]
     lines.append("}")
     return "\n".join(lines) + "\n"

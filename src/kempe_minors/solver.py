@@ -9,10 +9,10 @@ T, with the bags as branching sets.
 The construction recurses on the number of edges.  At each level one flow
 on the vertex-edge incidence network of H either routes k paths of the line
 graph, pairwise sharing no edge, from the edge star of a maximum-degree
-vertex to T, or finds a minimum separator; the solver then contracts one of
-its sides, recurses, and lifts the answer back through edge-disjoint path
-systems.  Parallel edges and the complete-graph endgame have dedicated
-direct constructions.
+vertex to T, or finds a minimum separator; the solver then contracts the
+star side, recurses, and lifts the answer back along the flow's own paths,
+one from the star to each separator edge.  Parallel edges and the
+complete-graph endgame have dedicated direct constructions.
 
 Every recursion level re-checks the structural facts it relies on and the
 final system is verified before it is returned; a failure surfaces as
@@ -44,7 +44,6 @@ from .paths import (
     PathSystem,
     Separator,
     disjoint_paths_or_separator,
-    edge_disjoint_paths,
     split_sides,
 )
 
@@ -516,18 +515,15 @@ def _solve_menger(
             f"separator edge {eid!r} does not cross the sides",
         )
 
-    # contract the far side; route k-1 edge-disjoint paths from v to the
-    # contracted vertex, one per separator edge
-    H_near, w = contract(H, side_d)
-    psys = edge_disjoint_paths(H_near, v, w, k - 1)
+    # the flow's paths run from the star to S, one per separator edge and
+    # otherwise on the star side; each lifts its edge's bag back to v
     path_of: dict[EdgeId, frozenset[EdgeId]] = {}
-    for p in psys.paths:
+    for p in result.paths:
         hits = sorted(set(p) & S)
         _require(len(hits) == 1, "lift path does not use exactly one separator edge")
-        first_u, first_x = H_near.edge(p[0]).ends
-        _require(v in (first_u, first_x), "lift path does not start at the pivot")
-        last_u, last_x = H_near.edge(p[-1]).ends
-        _require(w in (last_u, last_x), "lift path does not end at the contraction")
+        _require(H.edge(p[0]).covers(v), "lift path does not start at the pivot")
+        _require(p[-1] == hits[0], "lift path does not end at the far side")
+        _require(set(p[:-1]) <= side_c, "lift path leaves the star side")
         path_of[hits[0]] = frozenset(p)
     _require(len(path_of) == k - 1, "lift paths do not cover the separator")
 

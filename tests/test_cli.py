@@ -225,6 +225,14 @@ class TestOracleCommand:
         inst = write_instance(tmp_path / "c.json", H, part)
         assert main(["oracle", "-i", inst, "--max-edges", "12"]) == EXIT_REJECT
 
+    @pytest.mark.parametrize("cap", ["0", "-3"])
+    def test_non_positive_edge_cap_is_a_usage_error(self, tmp_path, capsys, cap):
+        inst = k4_instance(tmp_path)
+        with pytest.raises(SystemExit) as info:
+            main(["oracle", "-i", inst, "--max-edges", cap])
+        assert info.value.code == EXIT_USAGE
+        assert "expected a positive integer" in capsys.readouterr().err
+
 
 class TestLineGraphCommand:
     def test_writes_dot(self, tmp_path):

@@ -6,13 +6,12 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from kempe_minors.errors import InsufficientConnectivityError, NotTwoSidesError
+from kempe_minors.errors import NotTwoSidesError
 from kempe_minors.graph import Multigraph, contract, edge
 from kempe_minors.paths import (
     PathSystem,
     Separator,
     disjoint_paths_or_separator,
-    edge_disjoint_paths,
     split_sides,
 )
 from linegraph import line_graph
@@ -78,7 +77,6 @@ class TestVertexDisjoint:
         ts = {"e12", "e13", "e23"}
         result = disjoint_paths_or_separator(H, us, ts, 3)
         assert isinstance(result, PathSystem)
-        assert result.mode == "vertex"
         assert len(result) == 3
         used = [n for p in result.paths for n in p]
         assert len(used) == len(set(used))
@@ -138,16 +136,16 @@ class TestVertexDisjoint:
         assert separates(L, S, us, ts)
         for X in combinations(sorted(L), len(S) - 1):
             assert not separates(L, frozenset(X), us, ts)
-        # the lift: one edge-disjoint path per separator edge from w to the
-        # contracted far side, each a path of L(H) crossing S once
+        # the lift: the flow's paths, one per separator edge from the star
+        # at w, each a path of L(H) on the star side that ends at S
         split = split_sides(H, S)
-        far = split.side_d if ts <= split.side_d else split.side_c
-        H_near, x = contract(H, far)
-        psys = edge_disjoint_paths(H_near, w, x, len(S))
-        assert sorted(len(set(p) & S) for p in psys.paths) == [1, 1]
-        assert set().union(*psys.paths) & S == S
-        for p in psys.paths:
-            assert p[0] in us and p[-1] in S
+        near = split.side_c if ts <= split.side_d else split.side_d
+        assert sorted(len(set(p) & S) for p in result.paths) == [1, 1]
+        assert {p[-1] for p in result.paths} == S
+        used = [n for p in result.paths for n in p]
+        assert len(used) == len(set(used))
+        for p in result.paths:
+            assert p[0] in us and set(p[:-1]) <= near
             assert all(p[i + 1] in L[p[i]] for i in range(len(p) - 1))
 
     def test_rejects_bad_arguments(self):
@@ -188,58 +186,16 @@ class TestVertexDisjoint:
             for size in range(len(S)):
                 for X in combinations(nodes, size):
                     assert not separates(L, frozenset(X), us, ts)
-
-
-class TestEdgeDisjoint:
-    def test_two_paths_on_grid(self):
-        H = grid_2x3()
-        psys = edge_disjoint_paths(H, "a0", "a2", 2)
-        assert psys.mode == "edge"
-        assert len(psys) == 2
-        used = [e for p in psys.paths for e in p]
-        assert len(used) == len(set(used))
-        for p in psys.paths:
-            v = "a0"
-            for eid in p:
-                v = H.edge(eid).other(v)
-            assert v == "a2"
-
-    def test_insufficient_connectivity(self):
-        H = grid_2x3()
-        with pytest.raises(InsufficientConnectivityError):
-            edge_disjoint_paths(H, "a0", "a2", 3)
-
-    def test_rejects_bad_arguments(self):
-        H = grid_2x3()
-        with pytest.raises(ValueError):
-            edge_disjoint_paths(H, "a0", "a0", 1)
-        with pytest.raises(ValueError):
-            edge_disjoint_paths(H, "a0", "a2", 0)
-
-    @settings(max_examples=60, deadline=None)
-    @given(small_graphs(), st.data())
-    def test_paths_are_valid_and_disjoint(self, H, data):
-        verts = sorted(H.covered_vertices())
-        if len(verts) < 2:
-            return
-        a = data.draw(st.sampled_from(verts))
-        b = data.draw(st.sampled_from([v for v in verts if v != a]))
-        k = data.draw(st.integers(min_value=1, max_value=3))
-        try:
-            psys = edge_disjoint_paths(H, a, b, k)
-        except InsufficientConnectivityError:
-            return
-        assert len(psys) == k
-        used = [e for p in psys.paths for e in p]
-        assert len(used) == len(set(used))
-        for p in psys.paths:
-            v = a
-            seen = {a}
-            for eid in p:
-                v = H.edge(eid).other(v)
-                assert v not in seen  # simple path
-                seen.add(v)
-            assert v == b
+            # the flow's paths: one per separator node, each from U to its
+            # own node of S and meeting S nowhere else
+            assert len(result.paths) == len(S)
+            assert {p[-1] for p in result.paths} == S
+            used = [n for p in result.paths for n in p]
+            assert len(used) == len(set(used))
+            for p in result.paths:
+                assert p[0] in us
+                assert all(n not in S for n in p[:-1])
+                assert all(p[i + 1] in L[p[i]] for i in range(len(p) - 1))
 
 
 class TestSplitSides:

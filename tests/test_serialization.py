@@ -199,3 +199,14 @@ class TestDot:
             (Multigraph(["a", "b"], []), EDGELESS_DOT),
         ):
             assert line_graph_to_dot(H) == text
+
+    def test_quotes_and_backslashes_in_ids_are_escaped(self):
+        H = Multigraph(["a", "b", "c"], [edge('x"y', "a", "b"), edge("z\\", "b", "c")])
+        assert line_graph_to_dot(H) == (
+            "graph L {\n"
+            "  node [shape=box];\n"
+            '  "x\\"y";\n'
+            '  "z\\\\";\n'
+            '  "x\\"y" -- "z\\\\";\n'
+            "}\n"
+        )
