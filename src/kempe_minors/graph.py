@@ -201,6 +201,28 @@ def edge_components(H: Multigraph, F: Iterable[EdgeId]) -> tuple[frozenset[EdgeI
     return tuple(sorted(parts, key=min))
 
 
+def count_joins(n: int, pairs: Iterable[tuple[int, int]]) -> int:
+    """Union-find on the nodes ``0 .. n-1``: merge each pair's two parts.
+
+    Returns how many pairs joined two different parts.  The graph the pairs
+    form on the nodes they touch is connected iff that count is one less
+    than the number of those nodes.  Finds use path halving.
+    """
+    parent = list(range(n))
+    joins = 0
+    for a, b in pairs:
+        while parent[a] != a:
+            parent[a] = parent[parent[a]]
+            a = parent[a]
+        while parent[b] != b:
+            parent[b] = parent[parent[b]]
+            b = parent[b]
+        if a != b:
+            parent[a] = b
+            joins += 1
+    return joins
+
+
 def contract(H: Multigraph, F: Iterable[EdgeId]) -> tuple[Multigraph, VertexId]:
     """Contract the connected edge set ``F`` to a single fresh vertex.
 

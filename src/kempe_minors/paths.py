@@ -13,6 +13,11 @@ one and each vertex is an uncapacitated hub standing in for the clique
 that L(H) has at it.  The minimum separators of the two coincide and are
 read off the final residual reachability; the flow's own paths, one
 through each separator edge, come with the separator.
+
+The network's arc layout is fixed (see ``_incidence_network``): edge arcs
+first, then eight hub arcs per edge, then the source and sink arcs, each
+node listing its arcs in ascending id order.  The ids and that order fix
+the search order, hence every path, separator and bag.
 """
 
 from __future__ import annotations
@@ -67,17 +72,19 @@ _INF = 1 << 30
 
 
 class _Residual:
-    """A residual network on the nodes ``0 .. n-1`` with paired arcs.
+    """A residual network on the nodes ``0 .. len(out)-1`` with paired arcs.
 
-    Arc ``j ^ 1`` is the reverse of arc ``j``.  Each node lists its arcs in
-    the order they were added, which fixes the search order, so callers add
-    arcs in ascending id order and nothing is sorted during a search.
+    Arc ``j ^ 1`` is the reverse of arc ``j``; ``head[j]`` is its end,
+    ``cap[j]`` its residual capacity, and ``out[x]`` lists the arcs leaving
+    node x in the order the search tries them.  Callers fix that order
+    when they build the lists, so nothing is sorted during a search; the
+    incidence network's layout is the one ``_incidence_network`` states.
     """
 
-    def __init__(self, n: int) -> None:
-        self.out: list[list[int]] = [[] for _ in range(n)]
-        self.head: list[int] = []
-        self.cap: list[int] = []
+    def __init__(self, out: list[list[int]], head: list[int], cap: list[int]) -> None:
+        self.out = out
+        self.head = head
+        self.cap = cap
         self.base: list[int] = []  # capacities before the flow ran
 
     def add(self, a: int, b: int, cap: int) -> None:
@@ -151,6 +158,58 @@ class _Residual:
         return paths
 
 
+def _incidence_network(
+    H: Multigraph, us: frozenset[EdgeId], ts: frozenset[EdgeId]
+) -> _Residual:
+    """The vertex-edge incidence network of H, with U as source and T as sink.
+
+    Nodes: edge i of ``H.edge_ids`` is in_i = 2i and out_i = 2i+1, the
+    vertices follow as hubs in sorted order, and the last two nodes are the
+    source and the sink.  Arcs, in id order:
+
+    - ``2i``, ``2i+1``: in_i -> out_i of capacity 1, and its reverse; a
+      minimum cut therefore consists of these arcs;
+    - from ``j = 2m + 8i``, four per end of edge i, first end first:
+      out_i -> hub, its reverse, hub -> in_i, its reverse, uncapacitated;
+    - source -> in_u for u in sorted U, then out_t -> sink for t in sorted T.
+
+    Every node lists its arcs in ascending id order: ``out[2i]`` is
+    ``[2i, j+3, j+7]``, ``out[2i+1]`` is ``[2i+1, j, j+4]`` and each hub
+    gets ``j+1, j+2`` or ``j+5, j+6`` per incident edge, in edge order.
+    The edge and hub arcs are filled by list operations, not arc by arc.
+    """
+    ends = [e.ends for e in H.edges()]
+    m = len(ends)
+    hub = {v: 2 * m + x for x, v in enumerate(H.vertices)}
+    first = [hub[u] for u, _ in ends]
+    second = [hub[w] for _, w in ends]
+    ins = range(0, 2 * m, 2)
+    outs = range(1, 2 * m, 2)
+    js = range(2 * m, 10 * m, 8)
+    head = [0] * (10 * m)
+    head[0 : 2 * m : 2] = outs
+    head[1 : 2 * m : 2] = ins
+    columns = (first, outs, ins, first, second, outs, ins, second)
+    for offset, column in enumerate(columns):
+        head[2 * m + offset :: 8] = column
+    cap = [1, 0] * m + [_INF, 0] * (4 * m)
+    out = [
+        arcs for x, j in zip(ins, js) for arcs in ([x, j + 3, j + 7], [x + 1, j, j + 4])
+    ]
+    out += [[] for _ in range(len(hub) + 2)]
+    for j, a, b in zip(js, first, second):
+        out[a] += (j + 1, j + 2)
+        out[b] += (j + 5, j + 6)
+    net = _Residual(out, head, cap)
+    index = {eid: i for i, eid in enumerate(H.edge_ids)}
+    src = len(out) - 2
+    for u in sorted(us):
+        net.add(src, 2 * index[u], _INF)
+    for t in sorted(ts):
+        net.add(2 * index[t] + 1, src + 1, _INF)
+    return net
+
+
 def disjoint_paths_or_separator(
     H: Multigraph,
     U: Iterable[EdgeId],
@@ -177,27 +236,11 @@ def disjoint_paths_or_separator(
     if k < 1:
         raise ValueError("k must be positive")
 
-    # Edge i is the arc in_i = 2i -> out_i = 2i+1 of capacity 1 (arc 2i);
-    # every vertex is an uncapacitated hub joining out_i -> hub -> in_i
-    # for the edges at it.  A minimum cut therefore consists of edge arcs.
     eids = H.edge_ids
     m = len(eids)
-    index = {eid: i for i, eid in enumerate(eids)}
-    hub = {v: 2 * m + i for i, v in enumerate(H.vertices)}
-    src = 2 * m + len(hub)
+    net = _incidence_network(H, us, ts)
+    src = len(net.out) - 2
     snk = src + 1
-    net = _Residual(snk + 1)
-    for i in range(m):
-        net.add(2 * i, 2 * i + 1, 1)
-    for i, e in enumerate(H.edges()):
-        for v in e.ends:
-            net.add(2 * i + 1, hub[v], _INF)
-            net.add(hub[v], 2 * i, _INF)
-    for u in sorted(us):
-        net.add(src, 2 * index[u], _INF)
-    for t in sorted(ts):
-        net.add(2 * index[t] + 1, snk, _INF)
-
     flow, mark = net.max_flow(src, snk, k)
     # cut each of the flow's paths at its first T-edge, or on failure at its
     # first edge of the minimum cut, which it crosses exactly once

@@ -38,6 +38,7 @@ from .graph import (
     Multigraph,
     VertexId,
     contract,
+    count_joins,
     edge_components,
 )
 from .paths import (
@@ -93,7 +94,11 @@ def verify_solution(
     T: Iterable[EdgeId],
     bags: BagSystem,
 ) -> Verdict:
-    """Accept iff bags form a valid rooted system for (H, partition, T)."""
+    """Accept iff bags form a valid rooted system for (H, partition, T).
+
+    Each bag's connectivity is checked by the union-find that
+    ``verify_kempe`` shares, ``graph.count_joins``, over the bag's edges.
+    """
     ts = frozenset(T)
     violations: list[str] = []
     if len(bags) != part.k:
@@ -110,7 +115,12 @@ def verify_solution(
         if bad:
             violations.append(f"bag {i} holds unknown edges {bad}")
             continue
-        covers[i] = H.covered(bag)
+        index: dict[VertexId, int] = {}
+        pairs = [
+            (index.setdefault(u, len(index)), index.setdefault(w, len(index)))
+            for u, w in (H.edge(eid).ends for eid in bag)
+        ]
+        covers[i] = frozenset(index)
         for eid in sorted(bag):
             if eid in seen:
                 violations.append(
@@ -118,7 +128,7 @@ def verify_solution(
                 )
             else:
                 seen[eid] = i
-        if len(edge_components(H, bag)) != 1:
+        if count_joins(len(index), pairs) != len(index) - 1:
             violations.append(f"bag {i} is not a connected edge set")
         hits = sorted(bag & ts)
         if len(hits) != 1:

@@ -4,6 +4,8 @@ Each test ends by printing a single PASS line (run with ``pytest -s`` to see
 them); a failed assertion doubles as the FAIL line in the pytest report.
 """
 
+import hashlib
+import json
 import time
 from collections import Counter
 from itertools import combinations
@@ -24,13 +26,18 @@ from kempe_minors.solver import solve, solve_complete, verify_solution
 from kempe_minors.graph import Multigraph, edge
 
 
+# sha256 of the criterion-1 rows [name, sorted T, sorted bags, step kinds],
+# in corpus order
+CRITERION_1_DIGEST = "ae4173b265d215bf15e66660eccccc5b750ca37caf5d6e9a9acad077498360d8"
+
+
 def _report(n, message):
     print(f"\n[criterion {n}] PASS: {message}")
 
 
 def test_criterion_1_solve_then_verify_whole_corpus():
     start = time.perf_counter()
-    solves = 0
+    solves = []
     shapes = Counter()
     for name, (H, part) in standard_corpus():
         for T in sample_transversals(part, 50, seed=0):
@@ -38,12 +45,20 @@ def test_criterion_1_solve_then_verify_whole_corpus():
             verdict = verify_solution(H, part, T, bags)
             assert verdict, f"{name}: {verdict.violations}"
             shapes[">".join(trace.kinds())] += 1
-            solves += 1
+            solves.append((name, T, bags, trace))
     elapsed = time.perf_counter() - start
     assert elapsed < 10.0, f"corpus sweep took {elapsed:.1f}s, budget is 10s"
     # the branches the sweep takes are part of the solver's behaviour
     assert shapes == {"menger": 3181, "separator>menger": 227, "complete": 1}, shapes
-    _report(1, f"{solves} solve+verify runs over the corpus in {elapsed:.1f}s")
+    # and so are the bags, Menger and separator ones included: one digest
+    # pins every solve's output, whatever the hash seed
+    rows = [
+        [name, sorted(T), [sorted(b) for b in bags.bags], list(trace.kinds())]
+        for name, T, bags, trace in solves
+    ]
+    digest = hashlib.sha256(json.dumps(rows).encode()).hexdigest()
+    assert digest == CRITERION_1_DIGEST, digest
+    _report(1, f"{len(solves)} solve+verify runs over the corpus in {elapsed:.1f}s")
 
 
 def test_criterion_2_oracle_equivalence_on_small_instances():

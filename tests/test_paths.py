@@ -9,8 +9,11 @@ from hypothesis import strategies as st
 from kempe_minors.errors import NotTwoSidesError
 from kempe_minors.graph import Multigraph, contract, edge
 from kempe_minors.paths import (
+    _INF,
     PathSystem,
     Separator,
+    _incidence_network,
+    _Residual,
     disjoint_paths_or_separator,
     split_sides,
 )
@@ -196,6 +199,62 @@ class TestVertexDisjoint:
                 assert p[0] in us
                 assert all(n not in S for n in p[:-1])
                 assert all(p[i + 1] in L[p[i]] for i in range(len(p) - 1))
+
+
+@st.composite
+def graphs_with_isolated_vertices(draw):
+    """Multigraphs with parallel edges and uncovered vertices; edge ids are
+    drawn in an order unrelated to the ends, so id order and end order
+    differ."""
+    n = draw(st.integers(min_value=2, max_value=7))
+    verts = [f"v{i}" for i in range(n)]
+    pairs = [(verts[i], verts[j]) for i in range(n) for j in range(i + 1, n)]
+    chosen = draw(st.lists(st.sampled_from(pairs), min_size=1, max_size=12))
+    ids = draw(st.permutations(range(len(chosen))))
+    return Multigraph(
+        verts, [edge(f"e{x}", u, v) for x, (u, v) in zip(ids, chosen)]
+    )
+
+
+def arc_by_arc_network(H, us, ts):
+    """The incidence network built one ``_Residual.add`` per arc pair: the
+    reference layout the bulk build must reproduce."""
+    eids = H.edge_ids
+    m = len(eids)
+    index = {eid: i for i, eid in enumerate(eids)}
+    hub = {v: 2 * m + i for i, v in enumerate(H.vertices)}
+    src = 2 * m + len(hub)
+    snk = src + 1
+    net = _Residual([[] for _ in range(snk + 1)], [], [])
+    for i in range(m):
+        net.add(2 * i, 2 * i + 1, 1)
+    for i, e in enumerate(H.edges()):
+        for v in e.ends:
+            net.add(2 * i + 1, hub[v], _INF)
+            net.add(hub[v], 2 * i, _INF)
+    for u in sorted(us):
+        net.add(src, 2 * index[u], _INF)
+    for t in sorted(ts):
+        net.add(2 * index[t] + 1, snk, _INF)
+    return net
+
+
+class TestIncidenceNetwork:
+    @settings(max_examples=100, deadline=None)
+    @given(graphs_with_isolated_vertices(), st.data())
+    def test_bulk_build_matches_arc_by_arc(self, H, data):
+        # the arc ids and every node's arc order fix the flow's search
+        # order, hence its paths, separators and the solver's bags
+        eids = sorted(H.edge_ids)
+        us = frozenset(data.draw(st.sets(st.sampled_from(eids), min_size=1)))
+        ts = frozenset(data.draw(st.sets(st.sampled_from(eids), min_size=1)))
+        bulk = _incidence_network(H, us, ts)
+        ref = arc_by_arc_network(H, us, ts)
+        assert bulk.head == ref.head
+        assert bulk.cap == ref.cap
+        assert len(bulk.out) == len(ref.out)
+        for x, (got, want) in enumerate(zip(bulk.out, ref.out)):
+            assert got == want, x
 
 
 class TestSplitSides:

@@ -8,6 +8,8 @@ import sys
 from itertools import combinations
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from kempe_minors.coloring import MatchingPartition
 from kempe_minors.errors import InternalAssertionError, InvalidInputError
@@ -18,7 +20,7 @@ from kempe_minors.generators import (
     k4_seed,
     splice,
 )
-from kempe_minors.graph import Multigraph, edge
+from kempe_minors.graph import Multigraph, edge, edge_components
 from kempe_minors.solver import (
     BagSystem,
     assert_complete_fallback,
@@ -175,6 +177,39 @@ class TestVerifySolution:
             "bag 2 holds unknown edges ['zz']",
             "bags 0 and 3 are not incident",
         )
+
+
+    @settings(max_examples=200, deadline=None)
+    @given(st.data())
+    def test_connectivity_agrees_with_edge_components(self, data):
+        # multigraphs with parallel edges; bag systems with empty,
+        # unknown-edge, overlapping and disconnected bags
+        n = data.draw(st.integers(min_value=2, max_value=6))
+        verts = [f"v{i}" for i in range(n)]
+        pairs = [(verts[i], verts[j]) for i in range(n) for j in range(i + 1, n)]
+        chosen = data.draw(st.lists(st.sampled_from(pairs), min_size=1, max_size=10))
+        H = Multigraph(verts, [edge(f"e{i}", u, v) for i, (u, v) in enumerate(chosen)])
+        names = list(H.edge_ids) + ["zz"]
+        bags = BagSystem.of(
+            data.draw(st.lists(st.sets(st.sampled_from(names)), min_size=1, max_size=5))
+        )
+        T = data.draw(st.sets(st.sampled_from(H.edge_ids)))
+        part = MatchingPartition.of([{eid} for eid in H.edge_ids])
+        verdict = verify_solution(H, part, T, bags)
+        reported = [
+            i
+            for i in range(len(bags))
+            for v in verdict.violations
+            if v == f"bag {i} is not a connected edge set"
+        ]
+        expected = [
+            i
+            for i, bag in enumerate(bags.bags)
+            if bag
+            and all(eid in H for eid in bag)
+            and len(edge_components(H, bag)) != 1
+        ]
+        assert reported == expected
 
 
 class TestBaseCases:
