@@ -62,9 +62,13 @@ class Multigraph:
     Parallel edges are permitted; they are distinct records with equal
     endpoint pairs.  Vertices and edge identifiers are strings ordered by
     their natural string order, which fixes deterministic iteration.
+
+    Instances support weak references.  Their immutability is load-bearing:
+    ``solver.solve`` skips the instance checks for the (graph, partition)
+    pair it last validated, by object identity.
     """
 
-    __slots__ = ("_vertices", "_edges", "_at")
+    __slots__ = ("_vertices", "_edges", "_at", "__weakref__")
 
     def __init__(self, vertices: Iterable[VertexId], edges: Iterable[EdgeRecord]):
         vs = frozenset(vertices)

@@ -101,7 +101,9 @@ def emit_instance(
 
 def parse_solution(text: str) -> BagSystem:
     doc = _load(text)
-    if not isinstance(doc, dict) or "bags" not in doc:
+    if not isinstance(doc, dict):
+        raise SchemaViolationError("$", "solution document must be an object")
+    if "bags" not in doc:
         raise SchemaViolationError("bags", "missing required field")
     if not isinstance(doc["bags"], list):
         raise SchemaViolationError("bags", "expected a list")

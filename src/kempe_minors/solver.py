@@ -14,13 +14,17 @@ star side, recurses, and lifts the answer back along the flow's own paths,
 one from the star to each separator edge.  Parallel edges and the
 complete-graph endgame have dedicated direct constructions.
 
-Every recursion level re-checks the structural facts it relies on and the
-final system is verified before it is returned; a failure surfaces as
+The instance checks (matching partition, Kempe property) run once per
+(H, partition) object pair: ``solve`` remembers the last pair that passed
+them.  T and the output are checked on every call.  Every recursion level
+re-checks the structural facts it relies on and the final system is
+verified before it is returned; a failure surfaces as
 InternalAssertionError, never as a silent wrong answer.
 """
 
 from __future__ import annotations
 
+import weakref
 from dataclasses import dataclass, field
 from itertools import combinations
 from typing import Any, Iterable
@@ -428,28 +432,43 @@ def _complete_bags(H: Multigraph, ts: frozenset[EdgeId]) -> list[frozenset[EdgeI
 # main recursion
 
 
+# The last (H, partition) pair that passed the matching-partition and Kempe
+# checks.  Both types are immutable after construction (Multigraph by its
+# contract in graph.py, MatchingPartition as a frozen dataclass of
+# frozensets), so the pair still passes when it comes back.  The references
+# are weak: the memo keeps no instance alive, and a dead one never matches.
+_validated: tuple[weakref.ref, weakref.ref] | None = None
+
+
+def _reject_unless(name: str, verdict: Verdict) -> None:
+    if not verdict:
+        raise InvalidInputError(
+            f"{name} verification failed: " + "; ".join(verdict.violations)
+        )
+
+
 def solve(
     H: Multigraph, part: MatchingPartition, T: Iterable[EdgeId]
 ) -> tuple[BagSystem, ReductionTrace]:
     """Solve an instance; the returned system always passes verify_solution.
 
     Parallel edges and the complete endgame are branches of the same
-    recursion.  The partition, the Kempe property and T are checked once
-    here (InvalidInputError on failure), the output once at the end
-    (InternalAssertionError on failure).
+    recursion.  The partition and the Kempe property are checked once per
+    (H, part) object pair: a call with the same two objects as the last
+    pair that passed them skips both checks.  T and the output are checked
+    on every call.  A failed input check raises InvalidInputError, a failed
+    output check InternalAssertionError.
     """
+    global _validated
     ts = frozenset(T)
-    # in order, stopping at the first failure: the Kempe check needs known edges
-    for name, check, args in (
-        ("matching partition", verify_matching_partition, (H, part)),
-        ("kempe", verify_kempe, (H, part)),
-        ("transversal", verify_transversal, (part, ts)),
-    ):
-        verdict = check(*args)
-        if not verdict:
-            raise InvalidInputError(
-                f"{name} verification failed: " + "; ".join(verdict.violations)
-            )
+    last = _validated
+    if last is None or last[0]() is not H or last[1]() is not part:
+        # in order, stopping at the first failure: the Kempe check needs
+        # known edges
+        _reject_unless("matching partition", verify_matching_partition(H, part))
+        _reject_unless("kempe", verify_kempe(H, part))
+        _validated = (weakref.ref(H), weakref.ref(part))
+    _reject_unless("transversal", verify_transversal(part, ts))
     trace: list[TraceStep] = []
     bags = _solve_rec(H, list(part.classes), ts, trace)
     system = BagSystem(tuple(bags))

@@ -14,6 +14,7 @@ from itertools import product
 
 from kempe_minors.coloring import MatchingPartition, verify_kempe
 from kempe_minors.graph import Multigraph, contract, edge
+from kempe_minors.oracle import oracle_solve
 from kempe_minors.solver import solve, verify_solution
 
 SEED = 0
@@ -22,7 +23,8 @@ MAX_COLORINGS = 20  # per graph
 
 
 def random_multigraph(rng):
-    """3-6 vertices and 3-10 edges between random distinct pairs."""
+    """3-6 vertices and 3-10 edges between random distinct pairs, within the
+    oracle's default edge cap."""
     n = rng.randint(3, 6)
     verts = [f"v{i}" for i in range(n)]
     edges = []
@@ -99,3 +101,14 @@ def test_census_reaches_every_branch_and_keeps_the_far_side_kempe():
             assert verdict, verdict.violations
     assert set(kinds) == {"base", "parallel", "menger", "separator", "complete"}, kinds
     assert chains >= 2, f"longest separator chain {chains} in {solves} solves"
+
+
+def test_oracle_solves_every_census_transversal():
+    # the brute force shares nothing with the construction, so it is an
+    # independent witness that every census prescription is feasible; it
+    # rejects an instance over its edge cap rather than skip it
+    for H, part, T in census():
+        bags = oracle_solve(H, T)
+        assert bags is not None, sorted(T)
+        verdict = verify_solution(H, part, T, bags)
+        assert verdict, verdict.violations

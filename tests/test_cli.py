@@ -109,6 +109,13 @@ class TestSolveAndCheck:
         assert main(["verify", "-i", str(path)]) == EXIT_USAGE
         assert f"{path}: arrays and objects nest too deeply" in capsys.readouterr().err
 
+    def test_solution_that_is_not_an_object_is_a_usage_error(self, tmp_path, capsys):
+        inst = k4_instance(tmp_path)
+        out = tmp_path / "solution.json"
+        out.write_text("[]")
+        assert main(["check", "-i", inst, "-s", str(out)]) == EXIT_USAGE
+        assert "$: solution document must be an object" in capsys.readouterr().err
+
     def test_missing_file_is_a_usage_error(self, tmp_path):
         assert (
             main(["verify", "-i", str(tmp_path / "absent.json")]) == EXIT_USAGE

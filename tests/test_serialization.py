@@ -127,8 +127,17 @@ class TestDiagnostics:
         assert info.value.path == "transversal[0]"
 
     def test_solution_requires_bags(self):
-        with pytest.raises(SchemaViolationError):
+        with pytest.raises(SchemaViolationError) as info:
             parse_solution("{}")
+        assert info.value.path == "bags"
+
+    @pytest.mark.parametrize("text", ["[]", "3", '"bags"', "null"])
+    def test_solution_must_be_an_object(self, text):
+        with pytest.raises(
+            SchemaViolationError, match="solution document must be an object"
+        ) as info:
+            parse_solution(text)
+        assert info.value.path == "$"
 
 
 def parallel_multigraph():

@@ -1,17 +1,22 @@
 """The constructive solver: base cases, parallel-edge constructions, the
 complete-graph endgame, the Menger branch, and the separator branch."""
 
+import gc
 import hashlib
 import json
 import random
 import sys
+import threading
+import weakref
 from itertools import combinations
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from kempe_minors import solver
 from kempe_minors.coloring import MatchingPartition
+from kempe_minors.corpus import sample_transversals
 from kempe_minors.errors import InternalAssertionError, InvalidInputError
 from kempe_minors.generators import (
     complete_graph,
@@ -458,3 +463,115 @@ class TestInputValidation:
         part = MatchingPartition.of([{"ab"}, {"cd"}])
         with pytest.raises(InvalidInputError):
             solve(H, part, {"ab", "cd"})
+
+
+class TestValidationMemo:
+    """solve checks the partition and the Kempe property once per
+    (H, partition) object pair, and T on every call."""
+
+    @staticmethod
+    def four_cycle():
+        """C_4 with two partitions: a Kempe one and a non-Kempe one."""
+        H = Multigraph(
+            ["a", "b", "c", "d"],
+            [
+                edge("ab", "a", "b"),
+                edge("bc", "b", "c"),
+                edge("cd", "c", "d"),
+                edge("ad", "a", "d"),
+            ],
+        )
+        kempe = MatchingPartition.of([{"ab", "cd"}, {"bc", "ad"}])
+        # {ab} and {cd} are two disjoint edges: their union is disconnected
+        non_kempe = MatchingPartition.of([{"ab"}, {"cd"}, {"bc", "ad"}])
+        return H, kempe, non_kempe
+
+    def test_instance_checks_run_once_over_many_transversals(self, monkeypatch):
+        calls = {"verify_kempe": 0, "verify_matching_partition": 0}
+        for name in calls:
+            check = getattr(solver, name)
+
+            def counted(*args, _check=check, _name=name):
+                calls[_name] += 1
+                return _check(*args)
+
+            monkeypatch.setattr(solver, name, counted)
+        H, part = gen_circulant(7, (0, 1, 2, 3))
+        transversals = sample_transversals(part, 50, seed=0)
+        assert len(transversals) == 50
+        for T in transversals:
+            bags, _ = solve(H, part, T)
+            assert verify_solution(H, part, T, bags)
+        assert calls == {"verify_kempe": 1, "verify_matching_partition": 1}
+
+    def test_invalid_instance_raises_the_same_error_every_call(self):
+        H, _, part = self.four_cycle()
+        messages = []
+        for _ in range(2):
+            with pytest.raises(InvalidInputError) as info:
+                solve(H, part, {"ab", "cd", "bc"})
+            messages.append(str(info.value))
+        assert messages[0] == messages[1]
+        assert messages[0].startswith("kempe verification failed")
+
+    def test_bad_transversal_after_good_one_on_same_objects(self):
+        H, part = k4_seed()
+        bags, _ = solve(H, part, {"e01", "e02", "e03"})
+        assert verify_solution(H, part, {"e01", "e02", "e03"}, bags)
+        with pytest.raises(InvalidInputError, match="^transversal verification failed"):
+            solve(H, part, {"e01", "e23", "e02"})
+
+    def test_new_partition_on_same_graph_is_revalidated(self):
+        H, kempe, non_kempe = self.four_cycle()
+        bags, _ = solve(H, kempe, {"ab", "bc"})
+        assert verify_solution(H, kempe, {"ab", "bc"}, bags)
+        with pytest.raises(InvalidInputError, match="^kempe verification failed"):
+            solve(H, non_kempe, {"ab", "cd", "bc"})
+
+    def test_memo_keeps_no_instance_alive(self):
+        H, part = k4_seed()
+        solve(H, part, {"e01", "e02", "e03"})
+        graph_ref, part_ref = weakref.ref(H), weakref.ref(part)
+        del H, part
+        gc.collect()
+        assert graph_ref() is None
+        assert part_ref() is None
+
+    def test_threads_never_skip_checks_for_a_mixed_pair(self):
+        # Two valid instances and the cross pair (C_4, K_4's partition),
+        # whose partition names edges C_4 lacks.  A memo read torn between
+        # two stored pairs could pass the cross pair unchecked.
+        c4, c4_part, _ = self.four_cycle()
+        k4, k4_part = k4_seed()
+        jobs = [
+            (c4, c4_part, {"ab", "bc"}, True),
+            (k4, k4_part, {"e01", "e02", "e03"}, True),
+            (c4, k4_part, {"e01", "e02", "e03"}, False),
+        ]
+        results = []  # one per call: True when it ended as it should
+
+        def worker(offset):
+            for i in range(1000):
+                H, part, T, valid = jobs[(i + offset) % len(jobs)]
+                try:
+                    bags, _ = solve(H, part, T)
+                    results.append(valid and bool(verify_solution(H, part, T, bags)))
+                except InvalidInputError as exc:
+                    results.append(
+                        not valid and str(exc).startswith("matching partition")
+                    )
+
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            threads = [
+                threading.Thread(target=worker, args=(n,)) for n in range(6)
+            ]
+            for t in threads:
+                t.start()
+            for t in threads:
+                t.join(timeout=60)
+        finally:
+            sys.setswitchinterval(interval)
+        assert not any(t.is_alive() for t in threads)
+        assert len(results) == 6 * 1000 and all(results)
