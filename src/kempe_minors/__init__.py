@@ -32,13 +32,7 @@ from .graph import (
     edge_components,
 )
 from .oracle import OracleBudget, oracle_solve
-from .paths import (
-    PathSystem,
-    Separator,
-    SideSplit,
-    disjoint_paths_or_separator,
-    split_sides,
-)
+from .paths import PathSystem, Separator, disjoint_paths_or_separator
 from .solver import (
     BagSystem,
     ReductionTrace,
@@ -58,7 +52,6 @@ __all__ = [
     "PathSystem",
     "ReductionTrace",
     "Separator",
-    "SideSplit",
     "TraceStep",
     "Verdict",
     "assert_complete_fallback",
@@ -77,7 +70,6 @@ __all__ = [
     "solve",
     "solve_complete",
     "splice",
-    "split_sides",
     "verify_kempe",
     "verify_matching_partition",
     "verify_solution",

@@ -35,12 +35,6 @@ class WouldCreateLoopError(KempeMinorError):
     """An edge outside the contraction set joins two merged vertices."""
 
 
-# -- path and separator machinery -------------------------------------------
-
-class NotTwoSidesError(KempeMinorError):
-    """Removing the given edge set does not leave exactly two edge sides."""
-
-
 # -- solver ------------------------------------------------------------------
 
 class InvalidInputError(KempeMinorError):

@@ -138,10 +138,10 @@ def splice(
             raise UnknownVertexError(f"{which} input has no vertex {v!r}")
     k = c1.k
 
-    def stub(h: Multigraph, c: MatchingPartition, v: VertexId, j: int) -> tuple[EdgeId, VertexId]:
+    def stub(h: Multigraph, c: MatchingPartition, v: VertexId, j: int) -> VertexId:
         hits = [eid for eid in h.edges_at(v) if eid in c.classes[j]]
         assert len(hits) == 1
-        return hits[0], h.edge(hits[0]).other(v)
+        return h.edge(hits[0]).other(v)
 
     vertices = [f"a.{v}" for v in h1.vertices if v != v1]
     vertices += [f"b.{v}" for v in h2.vertices if v != v2]
@@ -155,8 +155,8 @@ def splice(
             edges.append(EdgeRecord(f"{prefix}{e.id}", (f"{prefix}{u}", f"{prefix}{w}")))
             classes[c.class_of(e.id)].add(f"{prefix}{e.id}")
     for j in range(k):
-        _, u1 = stub(h1, c1, v1, j)
-        _, u2 = stub(h2, c2, v2, j)
+        u1 = stub(h1, c1, v1, j)
+        u2 = stub(h2, c2, v2, j)
         fid = f"f{j}"
         edges.append(EdgeRecord(fid, (f"a.{u1}", f"b.{u2}")))
         classes[j].add(fid)

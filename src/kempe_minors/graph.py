@@ -114,9 +114,6 @@ class Multigraph:
         except KeyError:
             raise UnknownEdgeIdError(f"unknown edge id {eid!r}") from None
 
-    def ends(self, eid: EdgeId) -> tuple[VertexId, VertexId]:
-        return self.edge(eid).ends
-
     def edges_at(self, v: VertexId) -> tuple[EdgeId, ...]:
         try:
             return self._at[v]
@@ -128,9 +125,6 @@ class Multigraph:
 
     def num_edges(self) -> int:
         return len(self._edges)
-
-    def max_degree(self) -> int:
-        return max((len(ids) for ids in self._at.values()), default=0)
 
     def covered(self, F: Iterable[EdgeId]) -> frozenset[VertexId]:
         """Vertices incident with at least one edge of ``F``."""

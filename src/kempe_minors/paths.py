@@ -1,8 +1,4 @@
-"""Menger-type subroutines.
-
-Two operations back the solver: vertex-disjoint path systems or minimum
-separators in the line graph L(H) of a multigraph, and splitting a graph
-along a separating edge set into its two edge sides.
+"""The Menger flow: vertex-disjoint paths or a minimum separator in L(H).
 
 The path finder runs one unit-capacity augmenting-path flow on an
 int-indexed residual network, with one path decomposition and a
@@ -25,8 +21,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Iterable, Union
 
-from .errors import NotTwoSidesError
-from .graph import EdgeId, Multigraph, VertexId, edge_components
+from .graph import EdgeId, Multigraph
 
 
 @dataclass(frozen=True)
@@ -56,16 +51,6 @@ class Separator:
 
     def __len__(self) -> int:
         return len(self.nodes)
-
-
-@dataclass(frozen=True)
-class SideSplit:
-    """The two connected edge sides left by removing a separating edge set."""
-
-    side_c: frozenset[EdgeId]
-    side_d: frozenset[EdgeId]
-    covered_c: frozenset[VertexId]
-    covered_d: frozenset[VertexId]
 
 
 _INF = 1 << 30
@@ -255,31 +240,3 @@ def disjoint_paths_or_separator(
     if flow == k:
         return PathSystem(tuple(paths))
     return Separator(stop, tuple(paths))
-
-
-def split_sides(H: Multigraph, S: Iterable[EdgeId]) -> SideSplit:
-    """Split H along the separating edge set S into its two edge sides.
-
-    The edge set E(H) minus S must decompose into exactly two connected edge
-    components, and together they must cover every vertex that S covers but
-    no side would; otherwise NotTwoSidesError is raised.  Vertices covered
-    by no edge at all are ignored.
-    """
-    ss = frozenset(S)
-    for eid in ss:
-        H.edge(eid)
-    rest = set(H.edge_ids) - ss
-    parts = edge_components(H, rest)
-    if len(parts) != 2:
-        raise NotTwoSidesError(
-            f"removal leaves {len(parts)} edge components, need exactly 2"
-        )
-    side_c, side_d = parts
-    cov_c = H.covered(side_c)
-    cov_d = H.covered(side_d)
-    stranded = H.covered(ss) - cov_c - cov_d
-    if stranded:
-        raise NotTwoSidesError(
-            f"vertices {sorted(stranded)} are covered only by the separator"
-        )
-    return SideSplit(side_c, side_d, cov_c, cov_d)

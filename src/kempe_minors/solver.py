@@ -9,7 +9,8 @@ T, with the bags as branching sets.
 The construction recurses on the number of edges.  At each level one flow
 on the vertex-edge incidence network of H either routes k paths of the line
 graph, pairwise sharing no edge, from the edge star of a maximum-degree
-vertex to T, or finds a minimum separator; the solver then contracts the
+vertex to T, or finds a minimum separator S.  Removing S leaves two edge
+sides, the star side and the far side holding T; the solver contracts the
 star side, recurses, and lifts the answer back along the flow's own paths,
 one from the star to each separator edge.  Parallel edges and the
 complete-graph endgame have dedicated direct constructions.
@@ -45,12 +46,7 @@ from .graph import (
     count_joins,
     edge_components,
 )
-from .paths import (
-    PathSystem,
-    Separator,
-    disjoint_paths_or_separator,
-    split_sides,
-)
+from .paths import PathSystem, disjoint_paths_or_separator
 
 
 @dataclass(frozen=True)
@@ -491,9 +487,9 @@ def _solve_rec(
     if H.parallel_pair() is not None:
         return _solve_with_parallel(H, classes, ts, trace)
 
-    full = sorted(v for v in H.covered_vertices() if H.degree(v) == k)
-    if full:
-        return _solve_menger(H, classes, ts, full[0], trace)
+    pivot = min((v for v in H.covered_vertices() if H.degree(v) == k), default=None)
+    if pivot is not None:
+        return _solve_menger(H, classes, ts, pivot, trace)
 
     assert_complete_fallback(H, MatchingPartition(tuple(classes)))
     trace.append(TraceStep("complete", {"k": k, "max_deg": k - 1}))
@@ -524,14 +520,16 @@ def _solve_menger(
     )
     fi = avoiding[0]
 
-    split = split_sides(H, S)
-    side_c, side_d = split.side_c, split.side_d
-    cov_c, cov_d = split.covered_c, split.covered_d
+    # H - S has two edge sides: the star side, which is contracted, and the
+    # far side, which holds T
+    sides = edge_components(H, set(H.edge_ids) - S)
+    _require(len(sides) == 2, f"separator leaves {len(sides)} edge sides, expected 2")
+    side_c, side_d = sides
     u_rest = U - S
     if not (u_rest <= side_c):
         side_c, side_d = side_d, side_c
-        cov_c, cov_d = cov_d, cov_c
     _require(u_rest <= side_c, "star edges fall on both sides of the separator")
+    cov_c, cov_d = H.covered(side_c), H.covered(side_d)
     _require(v in cov_c, "pivot vertex is not on the star side")
     _require(bool(classes[fi] & side_c), "avoiding class misses the star side")
     _require(bool(classes[fi] & side_d), "avoiding class misses the far side")

@@ -1,4 +1,4 @@
-"""Disjoint path systems, minimum separators, and side splitting."""
+"""Disjoint path systems and minimum separators."""
 
 from itertools import combinations
 
@@ -6,8 +6,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from kempe_minors.errors import NotTwoSidesError
-from kempe_minors.graph import Multigraph, contract, edge
+from kempe_minors.graph import Multigraph, contract, edge, edge_components
 from kempe_minors.paths import (
     _INF,
     PathSystem,
@@ -15,7 +14,6 @@ from kempe_minors.paths import (
     _incidence_network,
     _Residual,
     disjoint_paths_or_separator,
-    split_sides,
 )
 from linegraph import line_graph
 
@@ -141,8 +139,9 @@ class TestVertexDisjoint:
             assert not separates(L, frozenset(X), us, ts)
         # the lift: the flow's paths, one per separator edge from the star
         # at w, each a path of L(H) on the star side that ends at S
-        split = split_sides(H, S)
-        near = split.side_c if ts <= split.side_d else split.side_d
+        sides = edge_components(H, set(H.edge_ids) - S)
+        assert len(sides) == 2
+        (near,) = [side for side in sides if not (side & ts)]
         assert sorted(len(set(p) & S) for p in result.paths) == [1, 1]
         assert {p[-1] for p in result.paths} == S
         used = [n for p in result.paths for n in p]
@@ -255,44 +254,3 @@ class TestIncidenceNetwork:
         assert len(bulk.out) == len(ref.out)
         for x, (got, want) in enumerate(zip(bulk.out, ref.out)):
             assert got == want, x
-
-
-class TestSplitSides:
-    def test_grid_rung_cut(self):
-        H = grid_2x3()
-        split = split_sides(H, {"a12", "b12"})
-        sides = {split.side_c, split.side_d}
-        assert frozenset({"a01", "b01", "r0", "r1"}) in sides
-        assert frozenset({"r2"}) in sides
-        assert split.covered_c | split.covered_d == H.covered_vertices()
-
-    def test_not_a_cut(self):
-        H = grid_2x3()
-        with pytest.raises(NotTwoSidesError):
-            split_sides(H, {"r1"})
-
-    def test_single_component_rejected(self):
-        H = Multigraph(
-            ["a", "b", "c", "d"],
-            [
-                edge("ab", "a", "b"),
-                edge("bc", "b", "c"),
-                edge("cd", "c", "d"),
-            ],
-        )
-        with pytest.raises(NotTwoSidesError):
-            split_sides(H, {"bc", "cd"})  # only {ab} is left over
-
-    def test_stranded_vertex(self):
-        # star: removing all edges at the center leaves it stranded
-        H = Multigraph(
-            ["m", "a", "b", "x", "y"],
-            [
-                edge("ab", "a", "b"),
-                edge("am", "a", "m"),
-                edge("mx", "m", "x"),
-                edge("xy", "x", "y"),
-            ],
-        )
-        with pytest.raises(NotTwoSidesError):
-            split_sides(H, {"am", "mx"})

@@ -26,6 +26,7 @@ from kempe_minors.generators import (
     splice,
 )
 from kempe_minors.graph import Multigraph, edge, edge_components
+from kempe_minors.paths import Separator
 from kempe_minors.solver import (
     BagSystem,
     assert_complete_fallback,
@@ -251,18 +252,45 @@ class TestBaseCases:
             assert verify_solution(H, part, T, bags)
 
 
+def parallel_cases(trace):
+    return tuple(s.details["case"] for s in trace.steps if s.kind == "parallel")
+
+
+def parallel_peel():
+    """Three parallel edges e0, e1, e4 whose singleton class e4 is peeled,
+    leaving a parallel pair with two chained two-edge classes."""
+    H = Multigraph(
+        ["v1", "v2", "v3", "v4", "v6"],
+        [
+            edge("e0", "v2", "v3"),
+            edge("e1", "v2", "v3"),
+            edge("e2", "v2", "v6"),
+            edge("e3", "v3", "v6"),
+            edge("e4", "v2", "v3"),
+            edge("e5", "v3", "v4"),
+            edge("e6", "v1", "v2"),
+        ],
+    )
+    part = MatchingPartition.of(
+        [{"e0"}, {"e1"}, {"e2", "e5"}, {"e3", "e6"}, {"e4"}]
+    )
+    return H, part
+
+
 class TestParallel:
     def test_ell2_matches_expected_shape(self):
         H, part = parallel_ell2()
         bags, trace = solve(H, part, {"e", "f", "xa1", "yb2"})
         assert bags_as_sets(bags) == [["e"], ["f"], ["xa1", "xc", "yc"], ["yb2"]]
         assert trace.kinds() == ("parallel",)
+        assert parallel_cases(trace) == ("ell=2",)
 
     def test_ell2_incident_transversal_gives_singletons(self):
         H, part = parallel_ell2()
         bags, trace = solve(H, part, {"e", "f", "yc", "xc"})
         assert bags_as_sets(bags) == [["e"], ["f"], ["xc"], ["yc"]]
         assert trace.kinds() == ("parallel",)
+        assert parallel_cases(trace) == ("pairwise-incident-T",)
 
     def test_ell2_all_transversals(self):
         H, part = parallel_ell2()
@@ -272,6 +300,9 @@ class TestParallel:
                 bags, trace = solve(H, part, T)
                 assert verify_solution(H, part, T, bags)
                 assert trace.kinds() == ("parallel",)
+                # only xa1 and yb2 miss each other
+                case = "ell=2" if (t2, t3) == ("xa1", "yb2") else "pairwise-incident-T"
+                assert parallel_cases(trace) == (case,), T
 
     def test_ell3_all_transversals(self):
         H, part = parallel_ell3()
@@ -282,16 +313,21 @@ class TestParallel:
                     bags, trace = solve(H, part, T)
                     assert verify_solution(H, part, T, bags)
                     assert trace.kinds() == ("parallel",)
+                    # T is pairwise incident only as a star at x or at y
+                    star = (t2, t3, t4) in (("xp", "xq", "xr"), ("yq", "yr", "yp"))
+                    case = "pairwise-incident-T" if star else "ell=3"
+                    assert parallel_cases(trace) == (case,), T
 
     def test_singleton_peel(self):
-        H = Multigraph(
-            ["x", "y", "z"],
-            [edge("e", "x", "y"), edge("f", "x", "y"), edge("g", "x", "z")],
-        )
-        part = MatchingPartition.of([{"e"}, {"f"}, {"g"}])
-        bags, trace = solve(H, part, {"e", "f", "g"})
-        assert bags_as_sets(bags) == [["e"], ["f"], ["g"]]
-        assert trace.kinds() == ("parallel",)
+        H, part = parallel_peel()
+        T = {"e0", "e1", "e4", "e5", "e6"}
+        bags, trace = solve(H, part, T)
+        assert [sorted(b) for b in bags.bags] == [
+            ["e0"], ["e1"], ["e2", "e3", "e6"], ["e5"], ["e4"]
+        ]
+        assert trace.kinds() == ("parallel", "parallel")
+        assert parallel_cases(trace) == ("peel-singleton", "ell=2")
+        assert trace.steps[0].details["edge"] == "e4"
 
 
 # sha256 of the bag lists solve_complete returns on complete_graph(n) for
@@ -436,6 +472,19 @@ class TestSeparatorBranch:
         assert len(avoiding) == 1
         assert step.details["side_c"] and step.details["side_d"]
         assert set(step.details["lift_paths"]) == set(S)
+
+    def test_separator_leaving_one_side_is_internal_error(self, monkeypatch):
+        # the separator lemma: H - S has exactly two edge sides.  A flow
+        # that returned an S leaving one side breaks it inside the solver.
+        H, part = gen_circulant(5, (0, 1, 2))
+        T = frozenset(min(c) for c in part.classes)
+        S = frozenset(min(part.classes[i] - T) for i in (0, 1))
+        assert len(edge_components(H, set(H.edge_ids) - S)) == 1
+        monkeypatch.setattr(
+            solver, "disjoint_paths_or_separator", lambda H, U, T, k: Separator(S, ())
+        )
+        with pytest.raises(InternalAssertionError, match="1 edge sides"):
+            solve(H, part, T)
 
 
 class TestInputValidation:
