@@ -10,8 +10,6 @@ line graph rooted at T.
 from .coloring import (
     MatchingPartition,
     Verdict,
-    pair_end_count,
-    pair_subgraph_ends,
     verify_kempe,
     verify_matching_partition,
     verify_transversal,
@@ -65,8 +63,6 @@ __all__ = [
     "is_perfect_one_factorization",
     "k4_seed",
     "oracle_solve",
-    "pair_end_count",
-    "pair_subgraph_ends",
     "solve",
     "solve_complete",
     "splice",

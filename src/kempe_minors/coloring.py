@@ -1,5 +1,5 @@
-"""Matching partitions (Kempe edge colorings), transversals, and the
-pair-subgraph end counting used by the degree analysis."""
+"""Matching partitions (Kempe edge colorings) and transversals, with their
+verifiers."""
 
 from __future__ import annotations
 
@@ -7,7 +7,6 @@ from dataclasses import dataclass
 from itertools import combinations
 from typing import Iterable
 
-from .errors import UnknownVertexError
 from .graph import EdgeId, Multigraph, VertexId, count_joins
 
 
@@ -34,12 +33,6 @@ class MatchingPartition:
         for c in self.classes:
             out |= c
         return frozenset(out)
-
-    def class_of(self, eid: EdgeId) -> int:
-        for i, c in enumerate(self.classes):
-            if eid in c:
-                return i
-        raise KeyError(eid)
 
 
 @dataclass(frozen=True)
@@ -135,35 +128,3 @@ def verify_transversal(part: MatchingPartition, T: Iterable[EdgeId]) -> Verdict:
     for eid in stray:
         violations.append(f"edge {eid!r} belongs to no class")
     return Verdict(not violations, tuple(violations))
-
-
-def pair_subgraph_ends(
-    H: Multigraph, part: MatchingPartition, i: int, j: int
-) -> frozenset[VertexId]:
-    """End vertices of the subgraph formed by classes ``i`` and ``j``.
-
-    A vertex is an end when it is covered by exactly one edge of the union;
-    the union of two matchings is a disjoint union of paths and cycles, so
-    each connected piece ends in two or zero vertices.
-    """
-    union = part.classes[i] | part.classes[j]
-    deg: dict[VertexId, int] = {}
-    for eid in union:
-        for v in H.edge(eid).ends:
-            deg[v] = deg.get(v, 0) + 1
-    return frozenset(v for v, d in deg.items() if d == 1)
-
-
-def pair_end_count(H: Multigraph, part: MatchingPartition, v: VertexId) -> int:
-    """Number of class pairs whose two-class subgraph ends at ``v``.
-
-    For a vertex of degree d in a valid partition of order k this always
-    equals d*(k-d): the pairs with exactly one class covering v.
-    """
-    if not H.has_vertex(v):
-        raise UnknownVertexError(f"unknown vertex {v!r}")
-    count = 0
-    for i, j in combinations(range(part.k), 2):
-        if v in pair_subgraph_ends(H, part, i, j):
-            count += 1
-    return count

@@ -148,12 +148,13 @@ def splice(
     edges: list[EdgeRecord] = []
     classes: list[set[EdgeId]] = [set() for _ in range(k)]
     for h, c, drop, prefix in ((h1, c1, v1, "a."), (h2, c2, v2, "b.")):
+        class_of = {eid: j for j, cls in enumerate(c.classes) for eid in cls}
         for e in h.edges():
             if e.covers(drop):
                 continue
             u, w = e.ends
             edges.append(EdgeRecord(f"{prefix}{e.id}", (f"{prefix}{u}", f"{prefix}{w}")))
-            classes[c.class_of(e.id)].add(f"{prefix}{e.id}")
+            classes[class_of[e.id]].add(f"{prefix}{e.id}")
     for j in range(k):
         u1 = stub(h1, c1, v1, j)
         u2 = stub(h2, c2, v2, j)

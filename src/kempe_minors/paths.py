@@ -1,19 +1,21 @@
 """The Menger flow: vertex-disjoint paths or a minimum separator in L(H).
 
-The path finder runs one unit-capacity augmenting-path flow on an
-int-indexed residual network, with one path decomposition and a
-deterministic (ascending id) search order.  L(H) itself is never built:
-vertex-disjoint paths in L(H) are the paths of the vertex-edge incidence
-network of H that share no edge node, where each edge node has capacity
-one and each vertex is an uncapacitated hub standing in for the clique
-that L(H) has at it.  The minimum separators of the two coincide and are
-read off the final residual reachability; the flow's own paths, one
-through each separator edge, come with the separator.
+The path finder runs one unit-capacity augmenting-path flow, then one path
+decomposition, with a deterministic (ascending id) search order.  L(H)
+itself is never built: vertex-disjoint paths in L(H) are the paths of the
+vertex-edge incidence network of H that share no edge node, where each
+edge node has capacity one and each vertex is an uncapacitated hub
+standing in for the clique that L(H) has at it.  The minimum separators of
+the two coincide and are read off the final residual reachability; the
+flow's own paths, one through each separator edge, come with the separator.
 
-The network's arc layout is fixed (see ``_incidence_network``): edge arcs
-first, then eight hub arcs per edge, then the source and sink arcs, each
-node listing its arcs in ascending id order.  The ids and that order fix
-the search order, hence every path, separator and bag.
+The network and its flow are three plain lists, ``out``, ``head`` and
+``cap`` (see ``_incidence_network``), that module functions build, augment
+and peel.  The flow on an arc is read from its reverse arc, so no copy of
+the capacities is kept.  The arc layout is fixed: edge arcs first, then
+eight hub arcs per edge, then the source and sink arcs, each node listing
+its arcs in ascending id order.  The ids and that order fix the search
+order, hence every path, separator and bag.
 """
 
 from __future__ import annotations
@@ -56,101 +58,19 @@ class Separator:
 _INF = 1 << 30
 
 
-class _Residual:
-    """A residual network on the nodes ``0 .. len(out)-1`` with paired arcs.
-
-    Arc ``j ^ 1`` is the reverse of arc ``j``; ``head[j]`` is its end,
-    ``cap[j]`` its residual capacity, and ``out[x]`` lists the arcs leaving
-    node x in the order the search tries them.  Callers fix that order
-    when they build the lists, so nothing is sorted during a search; the
-    incidence network's layout is the one ``_incidence_network`` states.
-    """
-
-    def __init__(self, out: list[list[int]], head: list[int], cap: list[int]) -> None:
-        self.out = out
-        self.head = head
-        self.cap = cap
-        self.base: list[int] = []  # capacities before the flow ran
-
-    def add(self, a: int, b: int, cap: int) -> None:
-        """Add arc a->b of capacity ``cap`` and its empty reverse."""
-        j = len(self.head)
-        self.out[a].append(j)
-        self.out[b].append(j + 1)
-        self.head += (b, a)
-        self.cap += (cap, 0)
-
-    def max_flow(self, s: int, t: int, k: int) -> tuple[int, list[int]]:
-        """Augment along shortest paths until k units flow or none is left.
-
-        Returns the flow value and the last search's marks: when the value
-        is below k, the nodes x with ``mark[x] != -1`` are the residual
-        reach of s, the source side of a minimum cut.
-        """
-        out, head, cap = self.out, self.head, self.cap
-        self.base = cap.copy()
-        flow = 0
-        mark: list[int] = []
-        while flow < k:
-            # mark[x] is the arc that reached x, -2 at s, -1 if unreached
-            mark = [-1] * len(out)
-            mark[s] = -2
-            queue = [s]
-            for a in queue:
-                for j in out[a]:
-                    if cap[j]:
-                        b = head[j]
-                        if mark[b] == -1:
-                            mark[b] = j
-                            queue.append(b)
-                if mark[t] != -1:
-                    break
-            else:
-                return flow, mark
-            x = t
-            while x != s:
-                j = mark[x]
-                cap[j] -= 1
-                cap[j ^ 1] += 1
-                x = head[j ^ 1]
-            flow += 1
-        return flow, mark
-
-    def paths(self, s: int, t: int, k: int) -> list[list[int]]:
-        """Peel k s,t-paths off the flow, as arc lists.
-
-        An arc carries flow while its residual capacity is below its
-        capacity before the flow ran; each step consumes one unit.  A walk
-        that returns to a node splices out the loop, whose arcs stay
-        consumed, so every path is simple.
-        """
-        out, head, cap, base = self.out, self.head, self.cap, self.base
-        paths: list[list[int]] = []
-        for _ in range(k):
-            nodes, arcs = [s], []
-            while nodes[-1] != t:
-                j = next(j for j in out[nodes[-1]] if cap[j] < base[j])
-                cap[j] += 1
-                x = head[j]
-                if x in nodes:
-                    i = nodes.index(x)
-                    del nodes[i + 1:]
-                    del arcs[i:]
-                else:
-                    nodes.append(x)
-                    arcs.append(j)
-            paths.append(arcs)
-        return paths
-
-
 def _incidence_network(
     H: Multigraph, us: frozenset[EdgeId], ts: frozenset[EdgeId]
-) -> _Residual:
+) -> tuple[list[list[int]], list[int], list[int]]:
     """The vertex-edge incidence network of H, with U as source and T as sink.
+
+    Returns ``(out, head, cap)``: arc ``j ^ 1`` is the reverse of arc ``j``,
+    ``head[j]`` is its end, ``cap[j]`` its residual capacity, and ``out[x]``
+    lists the arcs leaving node x in the order the search tries them.
 
     Nodes: edge i of ``H.edge_ids`` is in_i = 2i and out_i = 2i+1, the
     vertices follow as hubs in sorted order, and the last two nodes are the
-    source and the sink.  Arcs, in id order:
+    source and the sink.  Arcs, in id order, each with an even id and an
+    empty reverse:
 
     - ``2i``, ``2i+1``: in_i -> out_i of capacity 1, and its reverse; a
       minimum cut therefore consists of these arcs;
@@ -185,14 +105,82 @@ def _incidence_network(
     for j, a, b in zip(js, first, second):
         out[a] += (j + 1, j + 2)
         out[b] += (j + 5, j + 6)
-    net = _Residual(out, head, cap)
     index = {eid: i for i, eid in enumerate(H.edge_ids)}
     src = len(out) - 2
-    for u in sorted(us):
-        net.add(src, 2 * index[u], _INF)
-    for t in sorted(ts):
-        net.add(2 * index[t] + 1, src + 1, _INF)
-    return net
+    terminals = [(src, 2 * index[u]) for u in sorted(us)]
+    terminals += [(2 * index[t] + 1, src + 1) for t in sorted(ts)]
+    for a, b in terminals:
+        out[a].append(len(head))
+        out[b].append(len(head) + 1)
+        head += (b, a)
+    cap += [_INF, 0] * len(terminals)
+    return out, head, cap
+
+
+def _max_flow(
+    out: list[list[int]], head: list[int], cap: list[int], s: int, t: int, k: int
+) -> tuple[int, list[int]]:
+    """Augment along shortest paths until k units flow or none is left.
+
+    Returns the flow value and the last search's marks: when the value is
+    below k, the nodes x with ``mark[x] != -1`` are the residual reach of
+    s, the source side of a minimum cut.
+    """
+    flow = 0
+    mark: list[int] = []
+    while flow < k:
+        # mark[x] is the arc that reached x, -2 at s, -1 if unreached
+        mark = [-1] * len(out)
+        mark[s] = -2
+        queue = [s]
+        for a in queue:
+            for j in out[a]:
+                if cap[j]:
+                    b = head[j]
+                    if mark[b] == -1:
+                        mark[b] = j
+                        queue.append(b)
+            if mark[t] != -1:
+                break
+        else:
+            return flow, mark
+        x = t
+        while x != s:
+            j = mark[x]
+            cap[j] -= 1
+            cap[j ^ 1] += 1
+            x = head[j ^ 1]
+        flow += 1
+    return flow, mark
+
+
+def _peel(
+    out: list[list[int]], head: list[int], cap: list[int], s: int, t: int, k: int
+) -> list[list[int]]:
+    """Peel k s,t-paths off the flow, as arc lists.
+
+    Every arc was built with an even id and an empty reverse, and
+    augmenting keeps ``cap[j] + cap[j ^ 1]`` fixed, so the flow on an even
+    arc j is ``cap[j ^ 1]`` and an odd arc carries none.  Each step
+    consumes one unit.  A walk that returns to a node splices out the loop,
+    whose arcs stay consumed, so every path is simple.
+    """
+    paths: list[list[int]] = []
+    for _ in range(k):
+        nodes, arcs = [s], []
+        while nodes[-1] != t:
+            j = next(j for j in out[nodes[-1]] if not j & 1 and cap[j ^ 1])
+            cap[j ^ 1] -= 1
+            x = head[j]
+            if x in nodes:
+                i = nodes.index(x)
+                del nodes[i + 1:]
+                del arcs[i:]
+            else:
+                nodes.append(x)
+                arcs.append(j)
+        paths.append(arcs)
+    return paths
 
 
 def disjoint_paths_or_separator(
@@ -223,17 +211,17 @@ def disjoint_paths_or_separator(
 
     eids = H.edge_ids
     m = len(eids)
-    net = _incidence_network(H, us, ts)
-    src = len(net.out) - 2
+    out, head, cap = _incidence_network(H, us, ts)
+    src = len(out) - 2
     snk = src + 1
-    flow, mark = net.max_flow(src, snk, k)
+    flow, mark = _max_flow(out, head, cap, src, snk, k)
     # cut each of the flow's paths at its first T-edge, or on failure at its
     # first edge of the minimum cut, which it crosses exactly once
     stop = ts if flow == k else frozenset(
         eids[i] for i in range(m) if mark[2 * i] != -1 and mark[2 * i + 1] == -1
     )
     paths: list[tuple[EdgeId, ...]] = []
-    for arcs in net.paths(src, snk, flow):
+    for arcs in _peel(out, head, cap, src, snk, flow):
         seq = [eids[j >> 1] for j in arcs if j < 2 * m]
         first = next(i for i, eid in enumerate(seq) if eid in stop)
         paths.append(tuple(seq[: first + 1]))

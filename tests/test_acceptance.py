@@ -10,7 +10,7 @@ import time
 from collections import Counter
 from itertools import combinations
 
-from kempe_minors.coloring import MatchingPartition, pair_end_count
+from kempe_minors.coloring import MatchingPartition
 from kempe_minors.corpus import (
     all_transversals,
     sample_transversals,
@@ -24,6 +24,7 @@ from kempe_minors.generators import (
 from kempe_minors.oracle import oracle_solve
 from kempe_minors.solver import solve, solve_complete, verify_solution
 from kempe_minors.graph import Multigraph, edge
+from endcount import pair_end_count
 
 
 # sha256 of the criterion-1 rows [name, sorted T, sorted bags, step kinds],

@@ -1,0 +1,34 @@
+"""The package depends on the standard library alone."""
+
+import ast
+import sys
+from pathlib import Path
+
+import kempe_minors
+
+SOURCES = sorted(Path(kempe_minors.__file__).parent.glob("*.py"))
+
+
+def foreign_imports(tree):
+    """Top-level names of the absolute imports that are not stdlib modules."""
+    names = []
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Import):
+            names += [alias.name for alias in node.names]
+        elif isinstance(node, ast.ImportFrom) and node.level == 0:
+            names.append(node.module)
+    return sorted(
+        {n for n in names if n.split(".")[0] not in sys.stdlib_module_names}
+    )
+
+
+def test_package_is_stdlib_only():
+    assert {p.name for p in SOURCES} >= {"__init__.py", "paths.py", "solver.py"}
+    for path in SOURCES:
+        tree = ast.parse(path.read_text(encoding="utf-8"), filename=str(path))
+        assert foreign_imports(tree) == [], path.name
+
+
+def test_foreign_import_is_caught():
+    tree = ast.parse("import os\nfrom . import graph\nimport numpy.linalg\nfrom yaml import load")
+    assert foreign_imports(tree) == ["numpy.linalg", "yaml"]

@@ -12,7 +12,8 @@ from kempe_minors.paths import (
     PathSystem,
     Separator,
     _incidence_network,
-    _Residual,
+    _max_flow,
+    _peel,
     disjoint_paths_or_separator,
 )
 from linegraph import line_graph
@@ -216,26 +217,33 @@ def graphs_with_isolated_vertices(draw):
 
 
 def arc_by_arc_network(H, us, ts):
-    """The incidence network built one ``_Residual.add`` per arc pair: the
-    reference layout the bulk build must reproduce."""
+    """The incidence network built one arc pair at a time: the reference
+    layout the bulk build must reproduce."""
     eids = H.edge_ids
     m = len(eids)
     index = {eid: i for i, eid in enumerate(eids)}
     hub = {v: 2 * m + i for i, v in enumerate(H.vertices)}
     src = 2 * m + len(hub)
     snk = src + 1
-    net = _Residual([[] for _ in range(snk + 1)], [], [])
+    out, head, cap = [[] for _ in range(snk + 1)], [], []
+
+    def add(a, b, c):
+        out[a].append(len(head))
+        out[b].append(len(head) + 1)
+        head.extend((b, a))
+        cap.extend((c, 0))
+
     for i in range(m):
-        net.add(2 * i, 2 * i + 1, 1)
+        add(2 * i, 2 * i + 1, 1)
     for i, e in enumerate(H.edges()):
         for v in e.ends:
-            net.add(2 * i + 1, hub[v], _INF)
-            net.add(hub[v], 2 * i, _INF)
+            add(2 * i + 1, hub[v], _INF)
+            add(hub[v], 2 * i, _INF)
     for u in sorted(us):
-        net.add(src, 2 * index[u], _INF)
+        add(src, 2 * index[u], _INF)
     for t in sorted(ts):
-        net.add(2 * index[t] + 1, snk, _INF)
-    return net
+        add(2 * index[t] + 1, snk, _INF)
+    return out, head, cap
 
 
 class TestIncidenceNetwork:
@@ -247,10 +255,38 @@ class TestIncidenceNetwork:
         eids = sorted(H.edge_ids)
         us = frozenset(data.draw(st.sets(st.sampled_from(eids), min_size=1)))
         ts = frozenset(data.draw(st.sets(st.sampled_from(eids), min_size=1)))
-        bulk = _incidence_network(H, us, ts)
-        ref = arc_by_arc_network(H, us, ts)
-        assert bulk.head == ref.head
-        assert bulk.cap == ref.cap
-        assert len(bulk.out) == len(ref.out)
-        for x, (got, want) in enumerate(zip(bulk.out, ref.out)):
+        out, head, cap = _incidence_network(H, us, ts)
+        ref_out, ref_head, ref_cap = arc_by_arc_network(H, us, ts)
+        assert head == ref_head
+        assert cap == ref_cap
+        assert len(out) == len(ref_out)
+        for x, (got, want) in enumerate(zip(out, ref_out)):
             assert got == want, x
+
+    @settings(max_examples=100, deadline=None)
+    @given(graphs_with_isolated_vertices(), st.data())
+    def test_flow_is_read_from_the_reverse_arc(self, H, data):
+        # the peel reads the flow on an even arc j as cap[j ^ 1]; that rests
+        # on every reverse starting empty and on augmenting keeping each
+        # pair's total fixed
+        eids = sorted(H.edge_ids)
+        us = frozenset(data.draw(st.sets(st.sampled_from(eids), min_size=1)))
+        ts = frozenset(data.draw(st.sets(st.sampled_from(eids), min_size=1)))
+        k = data.draw(st.integers(min_value=1, max_value=4))
+        out, head, cap = _incidence_network(H, us, ts)
+        built = cap.copy()
+        assert all(c == 0 for c in built[1::2])
+        s, t = len(out) - 2, len(out) - 1
+        flow, _ = _max_flow(out, head, cap, s, t, k)
+        assert flow <= k
+        for j in range(0, len(cap), 2):
+            assert cap[j] + cap[j + 1] == built[j], j
+        paths = _peel(out, head, cap, s, t, flow)
+        assert len(paths) == flow
+        used = []
+        for arcs in paths:
+            assert head[arcs[0] ^ 1] == s and head[arcs[-1]] == t
+            assert all(head[a] == head[b ^ 1] for a, b in zip(arcs, arcs[1:]))
+            used += [j for j in arcs if j < 2 * len(eids)]
+        assert all(j % 2 == 0 for j in used)
+        assert len(used) == len(set(used))

@@ -486,6 +486,62 @@ class TestSeparatorBranch:
         with pytest.raises(InternalAssertionError, match="1 edge sides"):
             solve(H, part, T)
 
+    # Faults in the flow's output, one row per check of _solve_menger that
+    # consumes it.  The thin cut's separator is {s0, s1} with the paths
+    # p0 = (star edge, s0) and p1 = (star edge, s1); ``far`` is a T-edge,
+    # which lies on the far side.
+    FLOW_FAULTS = [
+        pytest.param(
+            lambda S, p0, p1, far: Separator(S - {p1[-1]}, (p0,)),
+            "separator has 1 edges, expected k-1 = 2",
+            id="separator-size",
+        ),
+        pytest.param(
+            lambda S, p0, p1, far: Separator(S, (p0 + p1[-1:], p1)),
+            "lift path does not use exactly one separator edge",
+            id="two-separator-edges",
+        ),
+        pytest.param(
+            lambda S, p0, p1, far: Separator(S, ((far,) + p0, p1)),
+            "lift path does not start at the pivot",
+            id="start-off-pivot",
+        ),
+        pytest.param(
+            lambda S, p0, p1, far: Separator(S, (p0 + p1[:1], p1)),
+            "lift path does not end at the far side",
+            id="end-past-separator",
+        ),
+        pytest.param(
+            lambda S, p0, p1, far: Separator(S, (p0[:-1] + (far,) + p0[-1:], p1)),
+            "lift path leaves the star side",
+            id="leaves-star-side",
+        ),
+        pytest.param(
+            lambda S, p0, p1, far: Separator(S, (p0,)),
+            "lift paths do not cover the separator",
+            id="missing-path",
+        ),
+    ]
+
+    @pytest.mark.parametrize("fault, message", FLOW_FAULTS)
+    def test_corrupted_flow_output_is_internal_error(self, monkeypatch, fault, message):
+        H, part, T = self.thin_cut_instance()
+        far = min(T)
+        flow = solver.disjoint_paths_or_separator
+
+        def corrupted(H, U, T, k):
+            result = flow(H, U, T, k)
+            if isinstance(result, Separator):
+                p0, p1 = result.paths
+                assert len(p0) == len(p1) == 2 and far not in result.nodes
+                result = fault(result.nodes, p0, p1, far)
+            return result
+
+        monkeypatch.setattr(solver, "disjoint_paths_or_separator", corrupted)
+        with pytest.raises(InternalAssertionError) as info:
+            solve(H, part, T)
+        assert str(info.value) == message
+
 
 class TestInputValidation:
     def test_bad_partition_rejected(self):
