@@ -25,6 +25,20 @@ def _expect_list_of_str(value: Any, path: str) -> list[str]:
     return value
 
 
+def _expect_ids(value: Any, path: str, what: str, known: Any = None) -> list[str]:
+    """A list of distinct strings, each in ``known`` unless that is None;
+    the first unknown or repeated entry is reported at its own path."""
+    ids = _expect_list_of_str(value, path)
+    seen: set[str] = set()
+    for j, x in enumerate(ids):
+        if known is not None and x not in known:
+            raise SchemaViolationError(f"{path}[{j}]", f"unknown {what} {x!r}")
+        if x in seen:
+            raise SchemaViolationError(f"{path}[{j}]", f"duplicate {what} {x!r}")
+        seen.add(x)
+    return ids
+
+
 def _load(text: str) -> Any:
     try:
         return json.loads(text)
@@ -41,7 +55,7 @@ def parse_instance(text: str) -> ParsedInstance:
     for key in ("vertices", "edges", "classes"):
         if key not in doc:
             raise SchemaViolationError(key, "missing required field")
-    vertices = _expect_list_of_str(doc["vertices"], "vertices")
+    vertices = _expect_ids(doc["vertices"], "vertices", "vertex id")
     if not isinstance(doc["edges"], list):
         raise SchemaViolationError("edges", "expected a list")
     records: list[EdgeRecord] = []
@@ -64,25 +78,15 @@ def parse_instance(text: str) -> ParsedInstance:
         raise SchemaViolationError("edges", str(exc)) from None
     if not isinstance(doc["classes"], list):
         raise SchemaViolationError("classes", "expected a list")
-    classes: list[list[str]] = []
-    for i, cls in enumerate(doc["classes"]):
-        ids = _expect_list_of_str(cls, f"classes[{i}]")
-        for j, eid in enumerate(ids):
-            if eid not in H:
-                raise SchemaViolationError(
-                    f"classes[{i}][{j}]", f"unknown edge id {eid!r}"
-                )
-        classes.append(ids)
-    part = MatchingPartition.of(classes)
+    part = MatchingPartition.of(
+        _expect_ids(cls, f"classes[{i}]", "edge id", H)
+        for i, cls in enumerate(doc["classes"])
+    )
     transversal: Optional[frozenset] = None
     if doc.get("transversal") is not None:
-        ids = _expect_list_of_str(doc["transversal"], "transversal")
-        for j, eid in enumerate(ids):
-            if eid not in H:
-                raise SchemaViolationError(
-                    f"transversal[{j}]", f"unknown edge id {eid!r}"
-                )
-        transversal = frozenset(ids)
+        transversal = frozenset(
+            _expect_ids(doc["transversal"], "transversal", "edge id", H)
+        )
     return H, part, transversal
 
 
@@ -107,10 +111,9 @@ def parse_solution(text: str) -> BagSystem:
         raise SchemaViolationError("bags", "missing required field")
     if not isinstance(doc["bags"], list):
         raise SchemaViolationError("bags", "expected a list")
-    bags = [
-        _expect_list_of_str(bag, f"bags[{i}]") for i, bag in enumerate(doc["bags"])
-    ]
-    return BagSystem.of(bags)
+    return BagSystem.of(
+        _expect_ids(bag, f"bags[{i}]", "edge id") for i, bag in enumerate(doc["bags"])
+    )
 
 
 def emit_solution(bags: BagSystem, trace: Optional[ReductionTrace] = None) -> str:

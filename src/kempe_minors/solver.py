@@ -201,10 +201,9 @@ def _solve_with_parallel(
     H: Multigraph,
     classes: list[frozenset[EdgeId]],
     ts: frozenset[EdgeId],
+    pair: tuple[EdgeId, EdgeId],
     trace: list[TraceStep],
 ) -> list[frozenset[EdgeId]]:
-    pair = H.parallel_pair()
-    assert pair is not None
     e, f = pair
     x, y = H.edge(e).ends
 
@@ -484,8 +483,9 @@ def _solve_rec(
         trace.append(TraceStep("base", {"k": k}))
         return _solve_base(H, classes, ts)
 
-    if H.parallel_pair() is not None:
-        return _solve_with_parallel(H, classes, ts, trace)
+    pair = H.parallel_pair()
+    if pair is not None:
+        return _solve_with_parallel(H, classes, ts, pair, trace)
 
     pivot = min((v for v in H.covered_vertices() if H.degree(v) == k), default=None)
     if pivot is not None:

@@ -89,6 +89,27 @@ class TestSolveAndCheck:
         path.write_text(json.dumps(doc))
         assert main(["verify", "-i", str(path)]) == EXIT_USAGE
 
+    def test_duplicate_ids_in_lists_are_a_usage_error(self, tmp_path, capsys):
+        doc = {
+            "vertices": ["x", "y", "z"],
+            "edges": [{"id": "e", "ends": ["x", "y"]}, {"id": "g", "ends": ["y", "z"]}],
+            "classes": [["e"], ["g"]],
+            "transversal": ["e", "g", "e"],
+        }
+        inst = tmp_path / "dup.json"
+        inst.write_text(json.dumps(doc))
+        out = tmp_path / "solution.json"
+        for argv in (
+            ["verify", "-i", str(inst)],
+            ["solve", "-i", str(inst), "-o", str(out)],
+        ):
+            assert main(argv) == EXIT_USAGE
+            assert "transversal[2]: duplicate edge id 'e'" in capsys.readouterr().err
+        good = k4_instance(tmp_path)
+        out.write_text(json.dumps({"bags": [["e01", "e01"], ["e02"], ["e03"]]}))
+        assert main(["check", "-i", good, "-s", str(out)]) == EXIT_USAGE
+        assert "bags[0][1]: duplicate edge id 'e01'" in capsys.readouterr().err
+
     def test_non_utf8_document_is_a_usage_error(self, tmp_path, capsys):
         inst = k4_instance(tmp_path)
         bad = tmp_path / "latin1.json"

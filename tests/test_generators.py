@@ -3,7 +3,7 @@
 from itertools import combinations
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import given, seed, settings
 from hypothesis import strategies as st
 
 from kempe_minors.errors import (
@@ -14,13 +14,12 @@ from kempe_minors.errors import (
     UnknownVertexError,
 )
 from kempe_minors.generators import (
+    _is_near_perfect,
     complete_graph,
     delete_vertex,
     gen_circulant,
     is_perfect_one_factorization,
     k4_seed,
-    pair_union_is_hamilton_cycle,
-    pair_union_is_hamilton_path,
     splice,
 )
 from kempe_minors.coloring import (
@@ -30,6 +29,7 @@ from kempe_minors.coloring import (
 )
 from kempe_minors.corpus import standard_corpus
 from kempe_minors.graph import EdgeRecord, Multigraph, edge
+from hamilton import pair_union_is_hamilton_cycle, pair_union_is_hamilton_path
 
 
 VALID_PARAMS = [
@@ -185,6 +185,93 @@ class TestCertifiers:
         cases.append(("digon", digon, MatchingPartition.of([{"p"}, {"q"}]), True))
         for name, H, part, perfect in cases:
             assert is_perfect_one_factorization(H, part) == by_cycles(H, part) == perfect, name
+
+
+def by_paths(H, part):
+    """The near-perfect certificate by its definition: a matching partition
+    whose every pair union is a Hamilton path."""
+    return bool(verify_matching_partition(H, part)) and all(
+        pair_union_is_hamilton_path(H, part.classes[i], part.classes[j])
+        for i, j in combinations(range(part.k), 2)
+    )
+
+
+@st.composite
+def matching_partitions(draw):
+    """Up to 5 matchings on 2-7 vertices; parallel edges across classes are
+    allowed.  Half the draws take each class as the first pairs of a random
+    vertex order.  The other half take classes of the round robin, where
+    class c joins u and v with u + v = c mod n: for prime n every two of
+    them form a Hamilton path."""
+    n = draw(st.integers(min_value=2, max_value=7))
+    if draw(st.booleans()):
+        sums = draw(st.lists(st.integers(0, n - 1), unique=True, max_size=5))
+        pairs = [
+            [(u, v) for u, v in combinations(range(n), 2) if (u + v) % n == c]
+            for c in sums
+        ]
+    else:
+        pairs = []
+        for _ in range(draw(st.integers(min_value=0, max_value=5))):
+            order = draw(st.permutations(range(n)))
+            size = draw(st.integers(min_value=1, max_value=n // 2))
+            pairs.append(list(zip(order[0::2], order[1::2]))[:size])
+    edges = [
+        edge(f"c{j}e{i}", f"v{u}", f"v{v}")
+        for j, ps in enumerate(pairs)
+        for i, (u, v) in enumerate(ps)
+    ]
+    classes = [{f"c{j}e{i}" for i in range(len(ps))} for j, ps in enumerate(pairs)]
+    return Multigraph([f"v{i}" for i in range(n)], edges), MatchingPartition.of(classes)
+
+
+class TestNearPerfect:
+    def test_agrees_with_hamilton_paths_on_the_corpus(self):
+        for name, (H, part) in standard_corpus():
+            expected = name.startswith("delete-")
+            assert _is_near_perfect(H, part) == by_paths(H, part) == expected, name
+
+    def square(self, extra_vertices=(), extra_edges=(), extra_class=()):
+        """The 4-cycle a-b-c-d as two classes, with optional additions."""
+        H = Multigraph(
+            ["a", "b", "c", "d", *extra_vertices],
+            [
+                edge("ab", "a", "b"),
+                edge("bc", "b", "c"),
+                edge("cd", "c", "d"),
+                edge("da", "d", "a"),
+                *extra_edges,
+            ],
+        )
+        return H, MatchingPartition.of([{"ab", "cd", *extra_class}, {"bc", "da"}])
+
+    def test_crafted_negatives(self):
+        # each fails one condition of the certificate and passes the others
+        cases = {
+            # 4 edges on 5 vertices, but both classes miss x
+            "shared miss": self.square(["x"]),
+            # a Hamilton cycle: 4 edges on 4 vertices
+            "pair sizes": self.square(),
+            # 5 edges on 6 vertices, every vertex covered, in two pieces
+            "disconnected": self.square(["x", "y"], [edge("xy", "x", "y")], ["xy"]),
+        }
+        for name, (H, part) in cases.items():
+            assert verify_matching_partition(H, part), name
+            assert not _is_near_perfect(H, part), name
+            assert not by_paths(H, part), name
+        path = Multigraph(
+            ["a", "b", "c", "d"],
+            [edge("ab", "a", "b"), edge("bc", "b", "c"), edge("cd", "c", "d")],
+        )
+        part = MatchingPartition.of([{"ab", "cd"}, {"bc"}])
+        assert _is_near_perfect(path, part) and by_paths(path, part)
+
+    @seed(20260)
+    @settings(max_examples=300, deadline=None)
+    @given(matching_partitions())
+    def test_agrees_with_hamilton_paths_on_drawn_partitions(self, drawn):
+        H, part = drawn
+        assert _is_near_perfect(H, part) == by_paths(H, part)
 
 
 class TestSeedsAndComplete:

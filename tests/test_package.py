@@ -22,6 +22,11 @@ def foreign_imports(tree):
     )
 
 
+def bare_asserts(tree):
+    """Line numbers of the assert statements, which ``python -O`` strips."""
+    return sorted(n.lineno for n in ast.walk(tree) if isinstance(n, ast.Assert))
+
+
 def test_package_is_stdlib_only():
     assert {p.name for p in SOURCES} >= {"__init__.py", "paths.py", "solver.py"}
     for path in SOURCES:
@@ -32,3 +37,14 @@ def test_package_is_stdlib_only():
 def test_foreign_import_is_caught():
     tree = ast.parse("import os\nfrom . import graph\nimport numpy.linalg\nfrom yaml import load")
     assert foreign_imports(tree) == ["numpy.linalg", "yaml"]
+
+
+def test_package_has_no_bare_assert():
+    for path in SOURCES:
+        tree = ast.parse(path.read_text(encoding="utf-8"), filename=str(path))
+        assert bare_asserts(tree) == [], path.name
+
+
+def test_bare_assert_is_caught():
+    tree = ast.parse("def f(x):\n    assert x\n    return x\nassert f(1), 'no'")
+    assert bare_asserts(tree) == [2, 4]

@@ -126,6 +126,44 @@ class TestDiagnostics:
             parse_instance(json.dumps(doc))
         assert info.value.path == "transversal[0]"
 
+    # one repeated id per list: parsing would otherwise merge the repeats,
+    # and the instance would not emit as it was read
+    DUPLICATES = [
+        pytest.param(
+            {"vertices": ["x", "y", "z", "x"]},
+            "vertices[3]: duplicate vertex id 'x'",
+            id="vertices",
+        ),
+        pytest.param(
+            {"classes": [["e", "e"], ["g"]]},
+            "classes[0][1]: duplicate edge id 'e'",
+            id="classes",
+        ),
+        pytest.param(
+            {"transversal": ["e", "g", "e"]},
+            "transversal[2]: duplicate edge id 'e'",
+            id="transversal",
+        ),
+    ]
+
+    @pytest.mark.parametrize("change, message", DUPLICATES)
+    def test_duplicate_id_is_a_schema_violation(self, change, message):
+        doc = {
+            "vertices": ["x", "y", "z"],
+            "edges": [{"id": "e", "ends": ["x", "y"]}, {"id": "g", "ends": ["y", "z"]}],
+            "classes": [["e"], ["g"]],
+            "transversal": ["e", "g"],
+        }
+        parse_instance(json.dumps(doc))
+        with pytest.raises(SchemaViolationError) as info:
+            parse_instance(json.dumps({**doc, **change}))
+        assert str(info.value) == message
+
+    def test_duplicate_edge_id_in_a_bag_is_a_schema_violation(self):
+        with pytest.raises(SchemaViolationError) as info:
+            parse_solution(json.dumps({"bags": [["e", "e"], ["g"]]}))
+        assert str(info.value) == "bags[0][1]: duplicate edge id 'e'"
+
     def test_solution_requires_bags(self):
         with pytest.raises(SchemaViolationError) as info:
             parse_solution("{}")

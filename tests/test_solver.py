@@ -372,8 +372,46 @@ class TestCompleteEndgame:
             ],
         )
         part = MatchingPartition.of([{"ab", "cd"}, {"bc", "de"}, {"ae"}])
-        with pytest.raises(InternalAssertionError):
+        with pytest.raises(InternalAssertionError) as info:
             assert_complete_fallback(H, part)
+        assert str(info.value) == "5 covered vertices, need 3"
+
+    # One row per check of assert_complete_fallback that an input reaches
+    # first: the edges as "uv" strings (a trailing digit makes a parallel
+    # copy), k, and the message.  The adjacency check has no row: a simple
+    # graph on delta + 1 vertices, all of degree delta, is complete.
+    FALLBACK_FAULTS = [
+        pytest.param(
+            ["ab", "ac", "ad", "bc", "bd", "cd"],
+            3,
+            "a vertex of full degree is present",
+            id="k4-with-k3",
+        ),
+        pytest.param(
+            ["ab", "ab2", "bc", "ac"],
+            4,
+            "parallel edges present in the fallback",
+            id="doubled-triangle",
+        ),
+        pytest.param(
+            ["ab", "bc", "cd", "de", "ae"],
+            4,
+            "maximum degree 2 is not k-1",
+            id="c5-with-k4",
+        ),
+        pytest.param(["ab", "bc"], 3, "degrees are not uniform", id="path"),
+    ]
+
+    @pytest.mark.parametrize("ids, k, message", FALLBACK_FAULTS)
+    def test_fallback_fault_rows(self, ids, k, message):
+        H = Multigraph(
+            sorted({v for eid in ids for v in eid[:2]}),
+            [edge(eid, eid[0], eid[1]) for eid in ids],
+        )
+        # only k is read from the partition
+        with pytest.raises(InternalAssertionError) as info:
+            assert_complete_fallback(H, MatchingPartition.of([()] * k))
+        assert str(info.value) == message
 
     def test_no_recursion_limit(self):
         # K_200 takes 197 levels; 100 frames above the caller must do
