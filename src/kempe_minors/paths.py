@@ -10,16 +10,22 @@ the two coincide and are read off the final residual reachability; the
 flow's own paths, one through each separator edge, come with the separator.
 
 The network and its flow are three plain lists, ``out``, ``head`` and
-``cap`` (see ``_incidence_network``), that module functions build, augment
-and peel.  The flow on an arc is read from its reverse arc, so no copy of
-the capacities is kept.  The arc layout is fixed: edge arcs first, then
-eight hub arcs per edge, then the source and sink arcs, each node listing
-its arcs in ascending id order.  The ids and that order fix the search
-order, hence every path, separator and bag.
+``cap`` (see ``_template``), that module functions build, augment and
+peel.  The flow on an arc is read from its reverse arc, so no copy of the
+capacities is kept.  The arc layout is fixed: edge arcs first, then eight
+hub arcs per edge, then the source and sink arcs, each node listing its
+arcs in ascending id order.  The ids and that order fix the search order,
+hence every path, separator and bag.
+
+Only the sink arcs depend on T.  The rest, the template, stays in a
+one-slot memo keyed on (H, U) until H is collected: a call takes it out
+(building it on a miss), appends its sink arcs, augments and peels over a
+fresh ``cap``, then removes the sink arcs and puts the template back.
 """
 
 from __future__ import annotations
 
+import weakref
 from dataclasses import dataclass
 from typing import Iterable, Union
 
@@ -58,14 +64,13 @@ class Separator:
 _INF = 1 << 30
 
 
-def _incidence_network(
-    H: Multigraph, us: frozenset[EdgeId], ts: frozenset[EdgeId]
-) -> tuple[list[list[int]], list[int], list[int]]:
-    """The vertex-edge incidence network of H, with U as source and T as sink.
+def _template(H: Multigraph, us: frozenset[EdgeId]) -> tuple:
+    """The vertex-edge incidence network of H with U as source, no sink arcs.
 
-    Returns ``(out, head, cap)``: arc ``j ^ 1`` is the reverse of arc ``j``,
-    ``head[j]`` is its end, ``cap[j]`` its residual capacity, and ``out[x]``
-    lists the arcs leaving node x in the order the search tries them.
+    Returns ``(ref, us, out, head, index)``: the key (H by weak reference,
+    U), the network and each edge id's position.  ``head[j]`` is the end
+    of arc ``j``, ``j ^ 1`` its reverse, ``out[x]`` node x's arcs in search
+    order.
 
     Nodes: edge i of ``H.edge_ids`` is in_i = 2i and out_i = 2i+1, the
     vertices follow as hubs in sorted order, and the last two nodes are the
@@ -76,7 +81,7 @@ def _incidence_network(
       minimum cut therefore consists of these arcs;
     - from ``j = 2m + 8i``, four per end of edge i, first end first:
       out_i -> hub, its reverse, hub -> in_i, its reverse, uncapacitated;
-    - source -> in_u for u in sorted U, then out_t -> sink for t in sorted T.
+    - source -> in_u for u in sorted U, then each call's out_t -> sink.
 
     Every node lists its arcs in ascending id order: ``out[2i]`` is
     ``[2i, j+3, j+7]``, ``out[2i+1]`` is ``[2i+1, j, j+4]`` and each hub
@@ -97,7 +102,6 @@ def _incidence_network(
     columns = (first, outs, ins, first, second, outs, ins, second)
     for offset, column in enumerate(columns):
         head[2 * m + offset :: 8] = column
-    cap = [1, 0] * m + [_INF, 0] * (4 * m)
     out = [
         arcs for x, j in zip(ins, js) for arcs in ([x, j + 3, j + 7], [x + 1, j, j + 4])
     ]
@@ -107,14 +111,18 @@ def _incidence_network(
         out[b] += (j + 5, j + 6)
     index = {eid: i for i, eid in enumerate(H.edge_ids)}
     src = len(out) - 2
-    terminals = [(src, 2 * index[u]) for u in sorted(us)]
-    terminals += [(2 * index[t] + 1, src + 1) for t in sorted(ts)]
-    for a, b in terminals:
-        out[a].append(len(head))
-        out[b].append(len(head) + 1)
-        head += (b, a)
-    cap += [_INF, 0] * len(terminals)
-    return out, head, cap
+    for u in sorted(us):
+        out[src].append(len(head))
+        out[2 * index[u]].append(len(head) + 1)
+        head += (2 * index[u], src)
+    return weakref.ref(H, lambda _: _slot.clear()), us, out, head, index
+
+
+# The last call's template, under the key "net".  It serves later calls
+# with the same (H, U) because a Multigraph never changes, U is part of the
+# key, and each call removes its sink arcs before putting it back.  dict.pop
+# takes it atomically, so no two calls share it; a call that raises drops it.
+_slot: dict[str, tuple] = {}
 
 
 def _max_flow(
@@ -163,13 +171,19 @@ def _peel(
     augmenting keeps ``cap[j] + cap[j ^ 1]`` fixed, so the flow on an even
     arc j is ``cap[j ^ 1]`` and an odd arc carries none.  Each step
     consumes one unit.  A walk that returns to a node splices out the loop,
-    whose arcs stay consumed, so every path is simple.
+    whose arcs stay consumed, so every path is simple.  Scans resume at a
+    per-node cursor: peeling only lowers flows, so a skipped arc stays
+    skipped and a chosen one stays first until used up.
     """
+    pos = [0] * len(out)
     paths: list[list[int]] = []
     for _ in range(k):
         nodes, arcs = [s], []
         while nodes[-1] != t:
-            j = next(j for j in out[nodes[-1]] if not j & 1 and cap[j ^ 1])
+            row, i = out[nodes[-1]], pos[nodes[-1]]
+            while row[i] & 1 or not cap[row[i] ^ 1]:
+                i += 1
+            pos[nodes[-1]], j = i, row[i]
             cap[j ^ 1] -= 1
             x = head[j]
             if x in nodes:
@@ -211,9 +225,19 @@ def disjoint_paths_or_separator(
 
     eids = H.edge_ids
     m = len(eids)
-    out, head, cap = _incidence_network(H, us, ts)
+    template = _slot.pop("net", None)
+    if template is None or template[0]() is not H or template[1] != us:
+        template = None  # drop the old network before building the new one
+        template = _template(H, us)
+    _, _, out, head, index = template
     src = len(out) - 2
     snk = src + 1
+    t_outs = [2 * index[t] + 1 for t in sorted(ts)]
+    for x in t_outs:
+        out[x].append(len(head))
+        out[snk].append(len(head) + 1)
+        head += (snk, x)
+    cap = [1, 0] * m + [_INF, 0] * (len(head) // 2 - m)
     flow, mark = _max_flow(out, head, cap, src, snk, k)
     # cut each of the flow's paths at its first T-edge, or on failure at its
     # first edge of the minimum cut, which it crosses exactly once
@@ -225,6 +249,11 @@ def disjoint_paths_or_separator(
         seq = [eids[j >> 1] for j in arcs if j < 2 * m]
         first = next(i for i, eid in enumerate(seq) if eid in stop)
         paths.append(tuple(seq[: first + 1]))
+    for x in t_outs:
+        out[x].pop()
+    out[snk].clear()
+    del head[-2 * len(t_outs):]
+    _slot["net"] = template
     if flow == k:
         return PathSystem(tuple(paths))
     return Separator(stop, tuple(paths))

@@ -1,17 +1,22 @@
 """Disjoint path systems and minimum separators."""
 
+import gc
+import sys
+import threading
+import weakref
 from itertools import combinations
+from unittest import mock
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from kempe_minors import paths
 from kempe_minors.graph import Multigraph, contract, edge, edge_components
 from kempe_minors.paths import (
     _INF,
     PathSystem,
     Separator,
-    _incidence_network,
     _max_flow,
     _peel,
     disjoint_paths_or_separator,
@@ -246,22 +251,79 @@ def arc_by_arc_network(H, us, ts):
     return out, head, cap
 
 
+def augmented_networks(calls):
+    """Run each (H, U, T, k) call; return, per call, a copy of the network
+    it handed to the augmentation and that network's ``out`` list itself."""
+    seen = []
+
+    def recording(out, head, cap, s, t, k):
+        seen.append(([list(arcs) for arcs in out], list(head), list(cap), out))
+        return _max_flow(out, head, cap, s, t, k)
+
+    with mock.patch.object(paths, "_max_flow", recording):
+        for call in calls:
+            disjoint_paths_or_separator(*call)
+    return seen
+
+
+def stored_template_is_fresh(H, us):
+    """The slot holds exactly what a fresh build for (H, U) gives."""
+    ref, key, out, head, index = paths._slot["net"]
+    _, _, fresh_out, fresh_head, fresh_index = paths._template(H, us)
+    return (ref() is H, key, out, head, index) == (
+        True, us, fresh_out, fresh_head, fresh_index
+    )
+
+
+def fresh(H, U, T, k):
+    """The call's result with no template to reuse."""
+    paths._slot.clear()
+    return disjoint_paths_or_separator(H, U, T, k)
+
+
+def rescan_peel(out, head, cap, s, t, k):
+    """The peel scanning each node's arcs from the start at every step: the
+    reference the cursor peel must reproduce."""
+    found = []
+    for _ in range(k):
+        nodes, arcs = [s], []
+        while nodes[-1] != t:
+            j = next(j for j in out[nodes[-1]] if not j & 1 and cap[j ^ 1])
+            cap[j ^ 1] -= 1
+            x = head[j]
+            if x in nodes:
+                i = nodes.index(x)
+                del nodes[i + 1:]
+                del arcs[i:]
+            else:
+                nodes.append(x)
+                arcs.append(j)
+        found.append(arcs)
+    return found
+
+
 class TestIncidenceNetwork:
     @settings(max_examples=100, deadline=None)
     @given(graphs_with_isolated_vertices(), st.data())
     def test_bulk_build_matches_arc_by_arc(self, H, data):
         # the arc ids and every node's arc order fix the flow's search
-        # order, hence its paths, separators and the solver's bags
+        # order, hence its paths, separators and the solver's bags; the
+        # second call reuses the first one's template
         eids = sorted(H.edge_ids)
         us = frozenset(data.draw(st.sets(st.sampled_from(eids), min_size=1)))
-        ts = frozenset(data.draw(st.sets(st.sampled_from(eids), min_size=1)))
-        out, head, cap = _incidence_network(H, us, ts)
-        ref_out, ref_head, ref_cap = arc_by_arc_network(H, us, ts)
-        assert head == ref_head
-        assert cap == ref_cap
-        assert len(out) == len(ref_out)
-        for x, (got, want) in enumerate(zip(out, ref_out)):
-            assert got == want, x
+        t1 = frozenset(data.draw(st.sets(st.sampled_from(eids), min_size=1)))
+        t2 = frozenset(data.draw(st.sets(st.sampled_from(eids), min_size=1)))
+        seen = augmented_networks([(H, us, t1, 1), (H, us, t2, 1)])
+        (_, _, _, miss), (_, _, _, hit) = seen
+        assert hit is miss
+        for (out, head, cap, _), ts in zip(seen, (t1, t2)):
+            ref_out, ref_head, ref_cap = arc_by_arc_network(H, us, ts)
+            assert head == ref_head
+            assert cap == ref_cap
+            assert len(out) == len(ref_out)
+            for x, (got, want) in enumerate(zip(out, ref_out)):
+                assert got == want, x
+        assert stored_template_is_fresh(H, us)
 
     @settings(max_examples=100, deadline=None)
     @given(graphs_with_isolated_vertices(), st.data())
@@ -273,7 +335,7 @@ class TestIncidenceNetwork:
         us = frozenset(data.draw(st.sets(st.sampled_from(eids), min_size=1)))
         ts = frozenset(data.draw(st.sets(st.sampled_from(eids), min_size=1)))
         k = data.draw(st.integers(min_value=1, max_value=4))
-        out, head, cap = _incidence_network(H, us, ts)
+        out, head, cap = arc_by_arc_network(H, us, ts)
         built = cap.copy()
         assert all(c == 0 for c in built[1::2])
         s, t = len(out) - 2, len(out) - 1
@@ -281,12 +343,130 @@ class TestIncidenceNetwork:
         assert flow <= k
         for j in range(0, len(cap), 2):
             assert cap[j] + cap[j + 1] == built[j], j
-        paths = _peel(out, head, cap, s, t, flow)
-        assert len(paths) == flow
+        peeled = _peel(out, head, cap, s, t, flow)
+        assert len(peeled) == flow
         used = []
-        for arcs in paths:
+        for arcs in peeled:
             assert head[arcs[0] ^ 1] == s and head[arcs[-1]] == t
             assert all(head[a] == head[b ^ 1] for a, b in zip(arcs, arcs[1:]))
             used += [j for j in arcs if j < 2 * len(eids)]
         assert all(j % 2 == 0 for j in used)
         assert len(used) == len(set(used))
+
+    @settings(max_examples=100, deadline=None)
+    @given(graphs_with_isolated_vertices(), st.data())
+    def test_cursor_peel_matches_rescan_peel(self, H, data):
+        eids = sorted(H.edge_ids)
+        us = frozenset(data.draw(st.sets(st.sampled_from(eids), min_size=1)))
+        ts = frozenset(data.draw(st.sets(st.sampled_from(eids), min_size=1)))
+        k = data.draw(st.integers(min_value=1, max_value=5))
+        out, head, cap = arc_by_arc_network(H, us, ts)
+        s, t = len(out) - 2, len(out) - 1
+        flow, _ = _max_flow(out, head, cap, s, t, k)
+        rest = cap.copy()
+        assert _peel(out, head, cap, s, t, flow) == rescan_peel(
+            out, head, rest, s, t, flow
+        )
+        assert cap == rest
+
+
+class TestNetworkTemplate:
+    """The T-independent network is kept for the next call on the same
+    (H, U) and never changes what a call returns."""
+
+    @settings(max_examples=60, deadline=None)
+    @given(
+        st.lists(graphs_with_isolated_vertices(), min_size=1, max_size=2),
+        st.data(),
+    )
+    def test_interleaved_calls_return_what_fresh_calls_return(self, graphs, data):
+        # calls alternate between graphs and between two stars on one graph
+        calls = []
+        for _ in range(6):
+            H = data.draw(st.sampled_from(graphs))
+            eids = sorted(H.edge_ids)
+            U = data.draw(st.sets(st.sampled_from(eids), min_size=1, max_size=3))
+            T = data.draw(st.sets(st.sampled_from(eids), min_size=1, max_size=3))
+            calls.append((H, U, T, data.draw(st.integers(min_value=1, max_value=3))))
+        want = [fresh(*call) for call in calls]
+        paths._slot.clear()
+        for call, expected in zip(calls, want):
+            assert disjoint_paths_or_separator(*call) == expected
+            assert stored_template_is_fresh(call[0], frozenset(call[1]))
+
+    def test_slot_empties_when_the_graph_is_collected(self):
+        H = grid_2x3()
+        disjoint_paths_or_separator(H, {"a01"}, {"b12"}, 1)
+        assert paths._slot["net"][0]() is H
+        graph_ref = weakref.ref(H)
+        del H
+        gc.collect()
+        assert graph_ref() is None
+        assert paths._slot == {}
+
+    def test_failed_augmentation_leaves_no_partial_template(self):
+        H = grid_2x3()
+        U, T1, T2 = {"a01", "r0"}, {"b12"}, {"b12", "r2"}
+        want = fresh(H, U, T2, 2)
+        disjoint_paths_or_separator(H, U, T1, 1)
+
+        def failing(*args):
+            raise RuntimeError("augmentation failed")
+
+        with mock.patch.object(paths, "_max_flow", failing):
+            with pytest.raises(RuntimeError):
+                disjoint_paths_or_separator(H, U, T1, 2)
+        assert paths._slot == {}
+        assert disjoint_paths_or_separator(H, U, T2, 2) == want
+        assert stored_template_is_fresh(H, frozenset(U))
+
+    def test_a_call_during_another_builds_its_own_template(self):
+        # the outer call holds the template while it augments; a call made
+        # then (as from another thread) finds the slot empty
+        H = grid_2x3()
+        outer, inner = ({"a01", "r0"}, {"b12", "r2"}, 2), ({"a01", "r0"}, {"b01"}, 1)
+        want = [fresh(H, *inner), fresh(H, *outer)]
+        augmented, got = [], []
+
+        def nested(*args):
+            augmented.append(args)
+            if len(augmented) == 1:  # only the outer call nests
+                got.append(disjoint_paths_or_separator(H, *inner))
+            return _max_flow(*args)
+
+        disjoint_paths_or_separator(H, *outer)
+        with mock.patch.object(paths, "_max_flow", nested):
+            got.append(disjoint_paths_or_separator(H, *outer))
+        assert got == want
+        assert stored_template_is_fresh(H, frozenset(outer[0]))
+
+    def test_threads_get_what_fresh_calls_return(self):
+        # more threads than cores, switching as often as the interpreter
+        # allows, over two graphs and two stars on one of them
+        graphs = [grid_2x3(), grid_2x3()]
+        jobs = [
+            (graphs[0], {"a01", "r0"}, {"b12", "r2"}, 2),
+            (graphs[1], {"a01", "r0"}, {"b12", "r2"}, 2),
+            (graphs[0], {"a12"}, {"b01"}, 1),
+        ]
+        want = [fresh(*job) for job in jobs]
+        failures = []
+
+        def worker(offset):
+            for i in range(300):
+                n = (i + offset) % len(jobs)
+                if disjoint_paths_or_separator(*jobs[n]) != want[n]:
+                    failures.append(n)
+
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            threads = [threading.Thread(target=worker, args=(n,)) for n in range(4)]
+            for thread in threads:
+                thread.start()
+            for thread in threads:
+                thread.join(timeout=60)
+        finally:
+            sys.setswitchinterval(interval)
+        assert not any(thread.is_alive() for thread in threads)
+        assert failures == []

@@ -360,22 +360,6 @@ class TestCompleteEndgame:
         H, part = k5_round_robin()
         assert assert_complete_fallback(H, part) is None
 
-    def test_fallback_rejects_cycle(self):
-        H = Multigraph(
-            ["a", "b", "c", "d", "e"],
-            [
-                edge("ab", "a", "b"),
-                edge("bc", "b", "c"),
-                edge("cd", "c", "d"),
-                edge("de", "d", "e"),
-                edge("ae", "a", "e"),
-            ],
-        )
-        part = MatchingPartition.of([{"ab", "cd"}, {"bc", "de"}, {"ae"}])
-        with pytest.raises(InternalAssertionError) as info:
-            assert_complete_fallback(H, part)
-        assert str(info.value) == "5 covered vertices, need 3"
-
     # One row per check of assert_complete_fallback that an input reaches
     # first: the edges as "uv" strings (a trailing digit makes a parallel
     # copy), k, and the message.  The adjacency check has no row: a simple
@@ -398,6 +382,12 @@ class TestCompleteEndgame:
             4,
             "maximum degree 2 is not k-1",
             id="c5-with-k4",
+        ),
+        pytest.param(
+            ["ab", "bc", "cd", "de", "ae"],
+            3,
+            "5 covered vertices, need 3",
+            id="c5-with-k3",
         ),
         pytest.param(["ab", "bc"], 3, "degrees are not uniform", id="path"),
     ]
