@@ -15,7 +15,6 @@ from .coloring import (
     verify_transversal,
 )
 from .generators import (
-    complete_graph,
     delete_vertex,
     gen_circulant,
     is_perfect_one_factorization,
@@ -53,7 +52,6 @@ __all__ = [
     "TraceStep",
     "Verdict",
     "assert_complete_fallback",
-    "complete_graph",
     "contract",
     "delete_vertex",
     "disjoint_paths_or_separator",

@@ -35,6 +35,8 @@ EXIT_REJECT = 1
 EXIT_USAGE = 2
 EXIT_INTERNAL = 3
 
+_NO_TRANSVERSAL = "instance has no transversal; add one or use `verify`"
+
 
 def _read(path, parse):
     """Parse a document file, which JSON requires to be UTF-8; a ParseError
@@ -77,7 +79,7 @@ def _positive(text: str) -> int:
 def _cmd_solve(args) -> int:
     H, part, T = _read_instance(args.instance)
     if T is None:
-        print("instance has no transversal; add one or use `verify`", file=sys.stderr)
+        print(_NO_TRANSVERSAL, file=sys.stderr)
         return EXIT_USAGE
     bags, trace = solve(H, part, T)
     Path(args.output).write_text(
@@ -89,10 +91,10 @@ def _cmd_solve(args) -> int:
 
 def _cmd_check(args) -> int:
     H, part, T = _read_instance(args.instance)
-    bags = _read(args.solution, parse_solution)
     if T is None:
-        print("instance has no transversal; add one or use `verify`", file=sys.stderr)
+        print(_NO_TRANSVERSAL, file=sys.stderr)
         return EXIT_USAGE
+    bags = _read(args.solution, parse_solution)
     verdict = verify_solution(H, part, T, bags)
     if verdict:
         print("accept")

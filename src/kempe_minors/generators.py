@@ -208,13 +208,3 @@ def k4_seed() -> Instance:
     if not is_perfect_one_factorization(H, part):
         raise InternalAssertionError("k4 seed is not a perfect 1-factorization")
     return H, part
-
-
-def complete_graph(n: int) -> Multigraph:
-    """Simple complete graph on n vertices with edge ids like ``e00-01``."""
-    width = len(str(max(n - 1, 0)))
-    names = [f"{i:0{width}d}" for i in range(n)]
-    edges = [
-        EdgeRecord(f"e{u}-{v}", (u, v)) for u, v in combinations(names, 2)
-    ]
-    return Multigraph(names, edges)

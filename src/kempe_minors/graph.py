@@ -66,7 +66,7 @@ class Multigraph:
     Instances support weak references.  Their immutability is load-bearing:
     ``solver.solve`` skips the instance checks for the (graph, partition)
     pair it last validated, and the Menger flow reuses the network it last
-    built for the same graph and star, both by object identity.
+    built for the same graph, both by object identity.
     """
 
     __slots__ = ("_vertices", "_edges", "_at", "__weakref__")

@@ -9,18 +9,13 @@ standing in for the clique that L(H) has at it.  The minimum separators of
 the two coincide and are read off the final residual reachability; the
 flow's own paths, one through each separator edge, come with the separator.
 
-The network and its flow are three plain lists, ``out``, ``head`` and
-``cap`` (see ``_template``), that module functions build, augment and
-peel.  The flow on an arc is read from its reverse arc, so no copy of the
-capacities is kept.  The arc layout is fixed: edge arcs first, then eight
-hub arcs per edge, then the source and sink arcs, each node listing its
-arcs in ascending id order.  The ids and that order fix the search order,
+The network is two plain lists, ``out`` and ``head`` (see ``_template``);
+a call's flow is a third, ``cap``, and the flow on an arc is read from its
+reverse arc.  The network has no source or sink: U enters the flow as its
+start nodes and T as its end nodes.  So the network depends on H alone and
+no call writes to it; it stays in a one-slot memo keyed on H until H is
+collected.  The arc ids and each node's arc order fix the search order,
 hence every path, separator and bag.
-
-Only the sink arcs depend on T.  The rest, the template, stays in a
-one-slot memo keyed on (H, U) until H is collected: a call takes it out
-(building it on a miss), appends its sink arcs, augments and peels over a
-fresh ``cap``, then removes the sink arcs and puts the template back.
 """
 
 from __future__ import annotations
@@ -64,29 +59,26 @@ class Separator:
 _INF = 1 << 30
 
 
-def _template(H: Multigraph, us: frozenset[EdgeId]) -> tuple:
-    """The vertex-edge incidence network of H with U as source, no sink arcs.
+def _template(H: Multigraph) -> tuple:
+    """The vertex-edge incidence network of H.
 
-    Returns ``(ref, us, out, head, index)``: the key (H by weak reference,
-    U), the network and each edge id's position.  ``head[j]`` is the end
-    of arc ``j``, ``j ^ 1`` its reverse, ``out[x]`` node x's arcs in search
-    order.
+    Returns ``(ref, out, head, index)``: H by weak reference, the network
+    and each edge id's position.  ``head[j]`` is the end of arc ``j``,
+    ``j ^ 1`` its reverse, ``out[x]`` node x's arcs in search order.
 
-    Nodes: edge i of ``H.edge_ids`` is in_i = 2i and out_i = 2i+1, the
-    vertices follow as hubs in sorted order, and the last two nodes are the
-    source and the sink.  Arcs, in id order, each with an even id and an
-    empty reverse:
+    Nodes: edge i of ``H.edge_ids`` is in_i = 2i and out_i = 2i+1, and the
+    vertices follow as hubs in sorted order.  Arcs, in id order, each with
+    an even id and an empty reverse:
 
     - ``2i``, ``2i+1``: in_i -> out_i of capacity 1, and its reverse; a
       minimum cut therefore consists of these arcs;
     - from ``j = 2m + 8i``, four per end of edge i, first end first:
-      out_i -> hub, its reverse, hub -> in_i, its reverse, uncapacitated;
-    - source -> in_u for u in sorted U, then each call's out_t -> sink.
+      out_i -> hub, its reverse, hub -> in_i, its reverse, uncapacitated.
 
     Every node lists its arcs in ascending id order: ``out[2i]`` is
     ``[2i, j+3, j+7]``, ``out[2i+1]`` is ``[2i+1, j, j+4]`` and each hub
     gets ``j+1, j+2`` or ``j+5, j+6`` per incident edge, in edge order.
-    The edge and hub arcs are filled by list operations, not arc by arc.
+    The arcs are filled by list operations, not arc by arc.
     """
     ends = [e.ends for e in H.edges()]
     m = len(ends)
@@ -105,55 +97,56 @@ def _template(H: Multigraph, us: frozenset[EdgeId]) -> tuple:
     out = [
         arcs for x, j in zip(ins, js) for arcs in ([x, j + 3, j + 7], [x + 1, j, j + 4])
     ]
-    out += [[] for _ in range(len(hub) + 2)]
+    out += [[] for _ in hub]
     for j, a, b in zip(js, first, second):
         out[a] += (j + 1, j + 2)
         out[b] += (j + 5, j + 6)
     index = {eid: i for i, eid in enumerate(H.edge_ids)}
-    src = len(out) - 2
-    for u in sorted(us):
-        out[src].append(len(head))
-        out[2 * index[u]].append(len(head) + 1)
-        head += (2 * index[u], src)
-    return weakref.ref(H, lambda _: _slot.clear()), us, out, head, index
+    return weakref.ref(H, lambda _: _slot.clear()), out, head, index
 
 
-# The last call's template, under the key "net".  It serves later calls
-# with the same (H, U) because a Multigraph never changes, U is part of the
-# key, and each call removes its sink arcs before putting it back.  dict.pop
-# takes it atomically, so no two calls share it; a call that raises drops it.
+# The last call's network, under the key "net".  It serves every later call
+# on the same H, because a Multigraph never changes and no call writes to it.
 _slot: dict[str, tuple] = {}
 
 
 def _max_flow(
-    out: list[list[int]], head: list[int], cap: list[int], s: int, t: int, k: int
+    out: list[list[int]],
+    head: list[int],
+    cap: list[int],
+    starts: list[int],
+    ends: set[int],
+    k: int,
 ) -> tuple[int, list[int]]:
-    """Augment along shortest paths until k units flow or none is left.
+    """Augment along shortest start-end paths until k units flow or none is
+    left.
 
-    Returns the flow value and the last search's marks: when the value is
-    below k, the nodes x with ``mark[x] != -1`` are the residual reach of
-    s, the source side of a minimum cut.
+    Each search scans the starts first, in the order given, and stops once
+    it has scanned an end node; so no unit ever leaves an end node.  Returns
+    the flow value and the last search's marks: when the value is below k,
+    the nodes x with ``mark[x] != -1`` are the residual reach of the starts,
+    the start side of a minimum cut.
     """
     flow = 0
     mark: list[int] = []
     while flow < k:
-        # mark[x] is the arc that reached x, -2 at s, -1 if unreached
+        # mark[x] is the arc that reached x, -2 at a start, -1 if unreached
         mark = [-1] * len(out)
-        mark[s] = -2
-        queue = [s]
-        for a in queue:
-            for j in out[a]:
+        for x in starts:
+            mark[x] = -2
+        queue = list(starts)
+        for x in queue:
+            for j in out[x]:
                 if cap[j]:
                     b = head[j]
                     if mark[b] == -1:
                         mark[b] = j
                         queue.append(b)
-            if mark[t] != -1:
+            if x in ends:
                 break
         else:
             return flow, mark
-        x = t
-        while x != s:
+        while mark[x] != -2:
             j = mark[x]
             cap[j] -= 1
             cap[j ^ 1] += 1
@@ -163,23 +156,32 @@ def _max_flow(
 
 
 def _peel(
-    out: list[list[int]], head: list[int], cap: list[int], s: int, t: int, k: int
+    out: list[list[int]],
+    head: list[int],
+    cap: list[int],
+    starts: list[int],
+    ends: set[int],
 ) -> list[list[int]]:
-    """Peel k s,t-paths off the flow, as arc lists.
+    """Peel the flow into start-end paths, as arc lists, one per start that
+    sends a unit, in the order of ``starts``.
 
     Every arc was built with an even id and an empty reverse, and
     augmenting keeps ``cap[j] + cap[j ^ 1]`` fixed, so the flow on an even
-    arc j is ``cap[j ^ 1]`` and an odd arc carries none.  Each step
-    consumes one unit.  A walk that returns to a node splices out the loop,
-    whose arcs stay consumed, so every path is simple.  Scans resume at a
-    per-node cursor: peeling only lowers flows, so a skipped arc stays
-    skipped and a chosen one stays first until used up.
+    arc j is ``cap[j ^ 1]`` and an odd arc carries none.  A start sends at
+    most one unit and none enters it; a walk ends at the first end node it
+    reaches, which no unit leaves.  Each step consumes one unit.  A walk
+    that returns to a node splices out the loop, whose arcs stay consumed,
+    so every path is simple.  Scans resume at a per-node cursor: peeling
+    only lowers flows, so a skipped arc stays skipped and a chosen one stays
+    first until used up.
     """
     pos = [0] * len(out)
     paths: list[list[int]] = []
-    for _ in range(k):
+    for s in starts:
+        if not any(cap[j ^ 1] for j in out[s] if not j & 1):
+            continue
         nodes, arcs = [s], []
-        while nodes[-1] != t:
+        while nodes[-1] not in ends:
             row, i = out[nodes[-1]], pos[nodes[-1]]
             while row[i] & 1 or not cap[row[i] ^ 1]:
                 i += 1
@@ -225,35 +227,26 @@ def disjoint_paths_or_separator(
 
     eids = H.edge_ids
     m = len(eids)
-    template = _slot.pop("net", None)
-    if template is None or template[0]() is not H or template[1] != us:
-        template = None  # drop the old network before building the new one
-        template = _template(H, us)
-    _, _, out, head, index = template
-    src = len(out) - 2
-    snk = src + 1
-    t_outs = [2 * index[t] + 1 for t in sorted(ts)]
-    for x in t_outs:
-        out[x].append(len(head))
-        out[snk].append(len(head) + 1)
-        head += (snk, x)
-    cap = [1, 0] * m + [_INF, 0] * (len(head) // 2 - m)
-    flow, mark = _max_flow(out, head, cap, src, snk, k)
+    net = _slot.get("net")
+    if net is None or net[0]() is not H:
+        net = None  # drop the old network before building the new one
+        _slot.clear()
+        net = _slot["net"] = _template(H)
+    _, out, head, index = net
+    starts = [2 * index[u] for u in sorted(us)]
+    ends = {2 * index[t] + 1 for t in ts}
+    cap = [1, 0] * m + [_INF, 0] * (4 * m)
+    flow, mark = _max_flow(out, head, cap, starts, ends, k)
     # cut each of the flow's paths at its first T-edge, or on failure at its
     # first edge of the minimum cut, which it crosses exactly once
     stop = ts if flow == k else frozenset(
         eids[i] for i in range(m) if mark[2 * i] != -1 and mark[2 * i + 1] == -1
     )
     paths: list[tuple[EdgeId, ...]] = []
-    for arcs in _peel(out, head, cap, src, snk, flow):
+    for arcs in _peel(out, head, cap, starts, ends):
         seq = [eids[j >> 1] for j in arcs if j < 2 * m]
         first = next(i for i, eid in enumerate(seq) if eid in stop)
         paths.append(tuple(seq[: first + 1]))
-    for x in t_outs:
-        out[x].pop()
-    out[snk].clear()
-    del head[-2 * len(t_outs):]
-    _slot["net"] = template
     if flow == k:
         return PathSystem(tuple(paths))
     return Separator(stop, tuple(paths))

@@ -271,10 +271,6 @@ def _solve_with_parallel(
         succ = [j for j in two if j not in order and a[j] == b[order[-1]]]
         _require(len(succ) == 1, "two-edge classes do not chain cyclically")
         order.append(succ[0])
-    _require(
-        all(a[order[(i + 1) % ell]] == b[order[i]] for i in range(ell - 1)),
-        "two-edge classes do not chain cyclically",
-    )
 
     big = frozenset({xe[order[0]], xe[order[1]], ye[order[0]]})
     bags = [frozenset({e}), frozenset({f}), big]

@@ -16,10 +16,11 @@ from kempe_minors.corpus import (
     sample_transversals,
     standard_corpus,
 )
-from kempe_minors.generators import complete_graph, is_perfect_one_factorization
+from kempe_minors.generators import is_perfect_one_factorization
 from kempe_minors.oracle import oracle_solve
 from kempe_minors.solver import solve, solve_complete, verify_solution
 from kempe_minors.graph import Multigraph, edge
+from completegraph import complete_graph
 from endcount import pair_end_count
 from hamilton import pair_union_is_hamilton_path
 

@@ -55,6 +55,18 @@ class TestSolveAndCheck:
         out = str(tmp_path / "solution.json")
         assert main(["solve", "-i", inst, "-o", out]) == EXIT_USAGE
 
+    def test_check_requires_transversal_before_reading_the_solution(
+        self, tmp_path, capsys
+    ):
+        # a missing or malformed solution must not hide the instance's fault
+        inst = k4_instance(tmp_path, with_transversal=False)
+        bad = tmp_path / "bad.json"
+        bad.write_text("{")
+        for solution in (str(tmp_path / "missing.json"), str(bad)):
+            assert main(["check", "-i", inst, "-s", solution]) == EXIT_USAGE
+            err = capsys.readouterr().err
+            assert err == "instance has no transversal; add one or use `verify`\n"
+
     def test_invalid_instance_is_rejected(self, tmp_path):
         # two disjoint edges: the pair union is not connected
         doc = {

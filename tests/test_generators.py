@@ -15,7 +15,6 @@ from kempe_minors.errors import (
 )
 from kempe_minors.generators import (
     _is_near_perfect,
-    complete_graph,
     delete_vertex,
     gen_circulant,
     is_perfect_one_factorization,
@@ -29,6 +28,7 @@ from kempe_minors.coloring import (
 )
 from kempe_minors.corpus import standard_corpus
 from kempe_minors.graph import EdgeRecord, Multigraph, edge
+from completegraph import complete_graph
 from hamilton import pair_union_is_hamilton_cycle, pair_union_is_hamilton_path
 
 

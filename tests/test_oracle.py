@@ -3,11 +3,12 @@
 import pytest
 
 from kempe_minors.errors import BudgetExceededError, InvalidInputError
-from kempe_minors.generators import complete_graph, k4_seed
+from kempe_minors.generators import k4_seed
 from kempe_minors.graph import Multigraph, edge
 from kempe_minors.oracle import OracleBudget, oracle_solve
 from kempe_minors.solver import solve, verify_solution
 from kempe_minors.coloring import MatchingPartition
+from completegraph import complete_graph
 
 
 def k5_edge(u, v):

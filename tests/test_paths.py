@@ -221,16 +221,12 @@ def graphs_with_isolated_vertices(draw):
     )
 
 
-def arc_by_arc_network(H, us, ts):
+def arc_by_arc_network(H):
     """The incidence network built one arc pair at a time: the reference
     layout the bulk build must reproduce."""
-    eids = H.edge_ids
-    m = len(eids)
-    index = {eid: i for i, eid in enumerate(eids)}
+    m = len(H.edge_ids)
     hub = {v: 2 * m + i for i, v in enumerate(H.vertices)}
-    src = 2 * m + len(hub)
-    snk = src + 1
-    out, head, cap = [[] for _ in range(snk + 1)], [], []
+    out, head, cap = [[] for _ in range(2 * m + len(hub))], [], []
 
     def add(a, b, c):
         out[a].append(len(head))
@@ -244,21 +240,40 @@ def arc_by_arc_network(H, us, ts):
         for v in e.ends:
             add(2 * i + 1, hub[v], _INF)
             add(hub[v], 2 * i, _INF)
-    for u in sorted(us):
-        add(src, 2 * index[u], _INF)
-    for t in sorted(ts):
-        add(2 * index[t] + 1, snk, _INF)
     return out, head, cap
 
 
+def terminals(H, us, ts):
+    """The start nodes in_u for u in sorted U and the set of end nodes out_t
+    for t in T."""
+    index = {eid: i for i, eid in enumerate(H.edge_ids)}
+    return [2 * index[u] for u in sorted(us)], {2 * index[t] + 1 for t in ts}
+
+
+def with_source_and_sink(out, head, cap, starts, ends):
+    """A copy of the network with a source arc into every start and a sink
+    arc out of every end, uncapacitated, in that order: the single-source,
+    single-sink form of the same flow problem."""
+    out = [list(arcs) for arcs in out] + [[], []]
+    head, cap = list(head), list(cap)
+    src, snk = len(out) - 2, len(out) - 1
+    for a, b in [(src, x) for x in starts] + [(x, snk) for x in sorted(ends)]:
+        out[a].append(len(head))
+        out[b].append(len(head) + 1)
+        head += (b, a)
+        cap += (_INF, 0)
+    return out, head, cap, src, snk
+
+
 def augmented_networks(calls):
-    """Run each (H, U, T, k) call; return, per call, a copy of the network
-    it handed to the augmentation and that network's ``out`` list itself."""
+    """Run each (H, U, T, k) call; return, per call, a copy of what it handed
+    to the augmentation and that network's ``out`` list itself."""
     seen = []
 
-    def recording(out, head, cap, s, t, k):
-        seen.append(([list(arcs) for arcs in out], list(head), list(cap), out))
-        return _max_flow(out, head, cap, s, t, k)
+    def recording(out, head, cap, starts, ends, k):
+        copy = [list(arcs) for arcs in out], list(head), list(cap)
+        seen.append((*copy, list(starts), set(ends), out))
+        return _max_flow(out, head, cap, starts, ends, k)
 
     with mock.patch.object(paths, "_max_flow", recording):
         for call in calls:
@@ -266,28 +281,26 @@ def augmented_networks(calls):
     return seen
 
 
-def stored_template_is_fresh(H, us):
-    """The slot holds exactly what a fresh build for (H, U) gives."""
-    ref, key, out, head, index = paths._slot["net"]
-    _, _, fresh_out, fresh_head, fresh_index = paths._template(H, us)
-    return (ref() is H, key, out, head, index) == (
-        True, us, fresh_out, fresh_head, fresh_index
-    )
+def stored_network_is_fresh(H):
+    """The slot holds exactly what a fresh build for H gives."""
+    ref, *net = paths._slot["net"]
+    return ref() is H and net == list(paths._template(H)[1:])
 
 
 def fresh(H, U, T, k):
-    """The call's result with no template to reuse."""
+    """The call's result with no network to reuse."""
     paths._slot.clear()
     return disjoint_paths_or_separator(H, U, T, k)
 
 
-def rescan_peel(out, head, cap, s, t, k):
-    """The peel scanning each node's arcs from the start at every step: the
-    reference the cursor peel must reproduce."""
+def rescan_peel(out, head, cap, origins, ends):
+    """One walk from each origin to an end node, scanning each node's arcs
+    from the start at every step: the reference the cursor peel must
+    reproduce."""
     found = []
-    for _ in range(k):
+    for s in origins:
         nodes, arcs = [s], []
-        while nodes[-1] != t:
+        while nodes[-1] not in ends:
             j = next(j for j in out[nodes[-1]] if not j & 1 and cap[j ^ 1])
             cap[j ^ 1] -= 1
             x = head[j]
@@ -302,28 +315,36 @@ def rescan_peel(out, head, cap, s, t, k):
     return found
 
 
+def draw_call(H, data, max_k):
+    """Random nonempty U and T of H's edge ids and a k in 1..max_k."""
+    eids = sorted(H.edge_ids)
+    us = frozenset(data.draw(st.sets(st.sampled_from(eids), min_size=1)))
+    ts = frozenset(data.draw(st.sets(st.sampled_from(eids), min_size=1)))
+    return us, ts, data.draw(st.integers(min_value=1, max_value=max_k))
+
+
 class TestIncidenceNetwork:
     @settings(max_examples=100, deadline=None)
     @given(graphs_with_isolated_vertices(), st.data())
     def test_bulk_build_matches_arc_by_arc(self, H, data):
         # the arc ids and every node's arc order fix the flow's search
         # order, hence its paths, separators and the solver's bags; the
-        # second call reuses the first one's template
-        eids = sorted(H.edge_ids)
-        us = frozenset(data.draw(st.sets(st.sampled_from(eids), min_size=1)))
-        t1 = frozenset(data.draw(st.sets(st.sampled_from(eids), min_size=1)))
-        t2 = frozenset(data.draw(st.sets(st.sampled_from(eids), min_size=1)))
-        seen = augmented_networks([(H, us, t1, 1), (H, us, t2, 1)])
-        (_, _, _, miss), (_, _, _, hit) = seen
+        # second call, with its own U and T, reuses the first one's network
+        # and finds it as the first call left it
+        u1, t1, _ = draw_call(H, data, 1)
+        u2, t2, _ = draw_call(H, data, 1)
+        seen = augmented_networks([(H, u1, t1, 1), (H, u2, t2, 1)])
+        (*_, miss), (*_, hit) = seen
         assert hit is miss
-        for (out, head, cap, _), ts in zip(seen, (t1, t2)):
-            ref_out, ref_head, ref_cap = arc_by_arc_network(H, us, ts)
+        ref_out, ref_head, ref_cap = arc_by_arc_network(H)
+        for (out, head, cap, starts, ends, _), us, ts in zip(seen, (u1, u2), (t1, t2)):
+            assert (starts, ends) == terminals(H, us, ts)
             assert head == ref_head
             assert cap == ref_cap
             assert len(out) == len(ref_out)
             for x, (got, want) in enumerate(zip(out, ref_out)):
                 assert got == want, x
-        assert stored_template_is_fresh(H, us)
+        assert stored_network_is_fresh(H)
 
     @settings(max_examples=100, deadline=None)
     @given(graphs_with_isolated_vertices(), st.data())
@@ -331,48 +352,69 @@ class TestIncidenceNetwork:
         # the peel reads the flow on an even arc j as cap[j ^ 1]; that rests
         # on every reverse starting empty and on augmenting keeping each
         # pair's total fixed
-        eids = sorted(H.edge_ids)
-        us = frozenset(data.draw(st.sets(st.sampled_from(eids), min_size=1)))
-        ts = frozenset(data.draw(st.sets(st.sampled_from(eids), min_size=1)))
-        k = data.draw(st.integers(min_value=1, max_value=4))
-        out, head, cap = arc_by_arc_network(H, us, ts)
+        us, ts, k = draw_call(H, data, 4)
+        out, head, cap = arc_by_arc_network(H)
+        starts, ends = terminals(H, us, ts)
         built = cap.copy()
         assert all(c == 0 for c in built[1::2])
-        s, t = len(out) - 2, len(out) - 1
-        flow, _ = _max_flow(out, head, cap, s, t, k)
+        flow, _ = _max_flow(out, head, cap, starts, ends, k)
         assert flow <= k
         for j in range(0, len(cap), 2):
             assert cap[j] + cap[j + 1] == built[j], j
-        peeled = _peel(out, head, cap, s, t, flow)
+        peeled = _peel(out, head, cap, starts, ends)
         assert len(peeled) == flow
+        # one path per start that sends a unit, in the order of the starts
+        firsts = [head[arcs[0] ^ 1] for arcs in peeled]
+        assert firsts == [x for x in starts if x in firsts]
         used = []
         for arcs in peeled:
-            assert head[arcs[0] ^ 1] == s and head[arcs[-1]] == t
+            assert head[arcs[-1]] in ends
             assert all(head[a] == head[b ^ 1] for a, b in zip(arcs, arcs[1:]))
-            used += [j for j in arcs if j < 2 * len(eids)]
+            used += [j for j in arcs if j < 2 * len(H.edge_ids)]
         assert all(j % 2 == 0 for j in used)
         assert len(used) == len(set(used))
 
     @settings(max_examples=100, deadline=None)
     @given(graphs_with_isolated_vertices(), st.data())
     def test_cursor_peel_matches_rescan_peel(self, H, data):
-        eids = sorted(H.edge_ids)
-        us = frozenset(data.draw(st.sets(st.sampled_from(eids), min_size=1)))
-        ts = frozenset(data.draw(st.sets(st.sampled_from(eids), min_size=1)))
-        k = data.draw(st.integers(min_value=1, max_value=5))
-        out, head, cap = arc_by_arc_network(H, us, ts)
-        s, t = len(out) - 2, len(out) - 1
-        flow, _ = _max_flow(out, head, cap, s, t, k)
+        us, ts, k = draw_call(H, data, 5)
+        out, head, cap = arc_by_arc_network(H)
+        starts, ends = terminals(H, us, ts)
+        _max_flow(out, head, cap, starts, ends, k)
         rest = cap.copy()
-        assert _peel(out, head, cap, s, t, flow) == rescan_peel(
-            out, head, rest, s, t, flow
+        # start x = in_i sends a unit iff its capacity-one arc, whose id is
+        # also 2i = x, carries flow
+        origins = [x for x in starts if cap[x ^ 1]]
+        assert _peel(out, head, cap, starts, ends) == rescan_peel(
+            out, head, rest, origins, ends
         )
         assert cap == rest
 
+    @settings(max_examples=100, deadline=None)
+    @given(graphs_with_isolated_vertices(), st.data())
+    def test_starts_and_ends_act_as_a_source_and_a_sink(self, H, data):
+        # the same network with a source and a sink gives the same flow, the
+        # same minimum cut and, without their source and sink arcs, the
+        # same paths
+        us, ts, k = draw_call(H, data, 5)
+        out, head, cap = arc_by_arc_network(H)
+        starts, ends = terminals(H, us, ts)
+        s_out, s_head, s_cap, src, snk = with_source_and_sink(
+            out, head, cap, starts, ends
+        )
+        flow, mark = _max_flow(out, head, cap, starts, ends, k)
+        s_flow, s_mark = _max_flow(s_out, s_head, s_cap, [src], [snk], k)
+        assert flow == s_flow
+        if flow < k:
+            assert [x != -1 for x in mark] == [x != -1 for x in s_mark[:src]]
+        peeled = _peel(out, head, cap, starts, ends)
+        s_peeled = rescan_peel(s_out, s_head, s_cap, [src] * flow, {snk})
+        assert peeled == [arcs[1:-1] for arcs in s_peeled]
+
 
 class TestNetworkTemplate:
-    """The T-independent network is kept for the next call on the same
-    (H, U) and never changes what a call returns."""
+    """The network is kept for the next call on the same H, no call writes
+    to it, and it never changes what a call returns."""
 
     @settings(max_examples=60, deadline=None)
     @given(
@@ -380,7 +422,7 @@ class TestNetworkTemplate:
         st.data(),
     )
     def test_interleaved_calls_return_what_fresh_calls_return(self, graphs, data):
-        # calls alternate between graphs and between two stars on one graph
+        # calls alternate between graphs and between stars on one graph
         calls = []
         for _ in range(6):
             H = data.draw(st.sampled_from(graphs))
@@ -392,7 +434,7 @@ class TestNetworkTemplate:
         paths._slot.clear()
         for call, expected in zip(calls, want):
             assert disjoint_paths_or_separator(*call) == expected
-            assert stored_template_is_fresh(call[0], frozenset(call[1]))
+            assert stored_network_is_fresh(call[0])
 
     def test_slot_empties_when_the_graph_is_collected(self):
         H = grid_2x3()
@@ -404,41 +446,43 @@ class TestNetworkTemplate:
         assert graph_ref() is None
         assert paths._slot == {}
 
-    def test_failed_augmentation_leaves_no_partial_template(self):
+    def test_a_call_that_raises_leaves_the_network_intact(self):
+        # the failing call raises after augmenting one unit
         H = grid_2x3()
-        U, T1, T2 = {"a01", "r0"}, {"b12"}, {"b12", "r2"}
-        want = fresh(H, U, T2, 2)
-        disjoint_paths_or_separator(H, U, T1, 1)
+        U, T = {"a01", "r0"}, {"b12", "r2"}
+        want = fresh(H, U, T, 2)
 
-        def failing(*args):
+        def failing(out, head, cap, starts, ends, k):
+            _max_flow(out, head, cap, starts, ends, 1)
             raise RuntimeError("augmentation failed")
 
         with mock.patch.object(paths, "_max_flow", failing):
             with pytest.raises(RuntimeError):
-                disjoint_paths_or_separator(H, U, T1, 2)
-        assert paths._slot == {}
-        assert disjoint_paths_or_separator(H, U, T2, 2) == want
-        assert stored_template_is_fresh(H, frozenset(U))
+                disjoint_paths_or_separator(H, U, T, 2)
+        assert stored_network_is_fresh(H)
+        assert disjoint_paths_or_separator(H, U, T, 2) == want
 
-    def test_a_call_during_another_builds_its_own_template(self):
-        # the outer call holds the template while it augments; a call made
-        # then (as from another thread) finds the slot empty
+    def test_a_call_during_another_shares_the_network(self):
+        # a call made between the outer call's augmentation and its peel
+        # (as from another thread) uses the same network, with another star
         H = grid_2x3()
-        outer, inner = ({"a01", "r0"}, {"b12", "r2"}, 2), ({"a01", "r0"}, {"b01"}, 1)
+        outer, inner = ({"a01", "r0"}, {"b12", "r2"}, 2), ({"a12"}, {"b01"}, 1)
         want = [fresh(H, *inner), fresh(H, *outer)]
         augmented, got = [], []
 
         def nested(*args):
-            augmented.append(args)
+            augmented.append(args[0])
+            result = _max_flow(*args)
             if len(augmented) == 1:  # only the outer call nests
                 got.append(disjoint_paths_or_separator(H, *inner))
-            return _max_flow(*args)
+            return result
 
         disjoint_paths_or_separator(H, *outer)
         with mock.patch.object(paths, "_max_flow", nested):
             got.append(disjoint_paths_or_separator(H, *outer))
         assert got == want
-        assert stored_template_is_fresh(H, frozenset(outer[0]))
+        assert augmented[0] is augmented[1]
+        assert stored_network_is_fresh(H)
 
     def test_threads_get_what_fresh_calls_return(self):
         # more threads than cores, switching as often as the interpreter

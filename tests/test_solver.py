@@ -19,7 +19,6 @@ from kempe_minors.coloring import MatchingPartition
 from kempe_minors.corpus import sample_transversals
 from kempe_minors.errors import InternalAssertionError, InvalidInputError
 from kempe_minors.generators import (
-    complete_graph,
     delete_vertex,
     gen_circulant,
     k4_seed,
@@ -34,6 +33,7 @@ from kempe_minors.solver import (
     solve_complete,
     verify_solution,
 )
+from completegraph import complete_graph
 
 
 def bags_as_sets(system):
