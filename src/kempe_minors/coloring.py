@@ -7,7 +7,7 @@ from dataclasses import dataclass
 from itertools import combinations
 from typing import Iterable
 
-from .graph import EdgeId, Multigraph, VertexId, count_joins
+from .graph import EdgeId, Multigraph, VertexId, number_ends, union_find
 
 
 @dataclass(frozen=True)
@@ -90,25 +90,17 @@ def verify_kempe(H: Multigraph, part: MatchingPartition) -> Verdict:
 
     Stops at the first failing pair; the verdict names it by class indices.
     Every class edge is looked up first, so an unknown edge id raises
-    UnknownEdgeIdError.  Each pair is checked by the shared union-find,
-    ``graph.count_joins``, over the two classes' edges: the union is
-    connected iff the successful joins number one less than the vertices it
-    covers (an empty union covers none).
+    UnknownEdgeIdError.  The classes' ends are numbered into one shared
+    index, and each pair is checked by one ``graph.union_find`` pass over
+    the two classes' edges: the union is connected iff the successful joins
+    number one less than the vertices it covers (an empty union covers
+    none).
     """
     index: dict[VertexId, int] = {}
-    ends: list[list[tuple[int, int]]] = []
-    covers: list[set[int]] = []
-    for cls in part.classes:
-        pairs = []
-        for eid in cls:
-            u, v = H.edge(eid).ends
-            iu = index.setdefault(u, len(index))
-            iv = index.setdefault(v, len(index))
-            pairs.append((iu, iv))
-        ends.append(pairs)
-        covers.append({x for pair in pairs for x in pair})
+    ends = [number_ends(H, cls, index) for cls in part.classes]
+    covers = [{x for pair in pairs for x in pair} for pairs in ends]
     for i, j in combinations(range(part.k), 2):
-        joins = count_joins(len(index), ends[i] + ends[j])
+        joins, _ = union_find(len(index), ends[i] + ends[j])
         if joins != len(covers[i] | covers[j]) - 1:
             return _reject(f"union of classes {i} and {j} is not connected")
     return Verdict(True)

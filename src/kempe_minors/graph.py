@@ -69,32 +69,30 @@ class Multigraph:
     built for the same graph, both by object identity.
     """
 
-    __slots__ = ("_vertices", "_edges", "_at", "__weakref__")
+    __slots__ = ("_edges", "_at", "__weakref__")
 
     def __init__(self, vertices: Iterable[VertexId], edges: Iterable[EdgeRecord]):
-        vs = frozenset(vertices)
         recs: dict[EdgeId, EdgeRecord] = {}
-        at: dict[VertexId, list[EdgeId]] = {v: [] for v in vs}
+        at: dict[VertexId, list[EdgeId]] = {v: [] for v in sorted(set(vertices))}
         for e in edges:
             if e.id in recs:
                 raise DuplicateEdgeIdError(f"edge id {e.id!r} occurs twice")
             u, w = e.ends
-            if u not in vs or w not in vs:
+            if u not in at or w not in at:
                 raise UnknownEndpointError(
                     f"edge {e.id!r} has endpoint outside the vertex set"
                 )
             recs[e.id] = e
             at[u].append(e.id)
             at[w].append(e.id)
-        self._vertices = vs
         self._edges = {eid: recs[eid] for eid in sorted(recs)}
-        self._at = {v: tuple(sorted(at[v])) for v in at}
+        self._at = {v: tuple(sorted(ids)) for v, ids in at.items()}
 
     # -- basic queries -------------------------------------------------------
 
     @property
     def vertices(self) -> tuple[VertexId, ...]:
-        return tuple(sorted(self._vertices))
+        return tuple(self._at)
 
     @property
     def edge_ids(self) -> tuple[EdgeId, ...]:
@@ -107,7 +105,7 @@ class Multigraph:
         return eid in self._edges
 
     def has_vertex(self, v: VertexId) -> bool:
-        return v in self._vertices
+        return v in self._at
 
     def edge(self, eid: EdgeId) -> EdgeRecord:
         try:
@@ -155,57 +153,35 @@ class Multigraph:
         drop = set(F)
         for eid in drop:
             self.edge(eid)
-        return Multigraph(
-            self._vertices, (e for e in self.edges() if e.id not in drop)
-        )
+        return Multigraph(self._at, (e for e in self.edges() if e.id not in drop))
 
     def without_vertex(self, v: VertexId) -> "Multigraph":
-        if v not in self._vertices:
+        if v not in self._at:
             raise UnknownVertexError(f"unknown vertex {v!r}")
         return Multigraph(
-            self._vertices - {v}, (e for e in self.edges() if not e.covers(v))
+            (u for u in self._at if u != v),
+            (e for e in self.edges() if not e.covers(v)),
         )
 
 
-def edge_components(H: Multigraph, F: Iterable[EdgeId]) -> tuple[frozenset[EdgeId], ...]:
-    """Partition ``F`` into maximal connected edge sets.
-
-    An edge set is connected when any two of its edges lie on a path of
-    edges from the set.  Parts are returned sorted by their least edge id.
-    """
-    fs = sorted(set(F))
-    for eid in fs:
-        H.edge(eid)
-    at: dict[VertexId, list[EdgeId]] = {}
-    for eid in fs:
-        for v in H.edge(eid).ends:
-            at.setdefault(v, []).append(eid)
-    unseen = set(fs)
-    parts: list[frozenset[EdgeId]] = []
-    for seed in fs:
-        if seed not in unseen:
-            continue
-        comp = {seed}
-        unseen.discard(seed)
-        stack = [seed]
-        while stack:
-            eid = stack.pop()
-            for v in H.edge(eid).ends:
-                for other in at[v]:
-                    if other in unseen:
-                        unseen.discard(other)
-                        comp.add(other)
-                        stack.append(other)
-        parts.append(frozenset(comp))
-    return tuple(sorted(parts, key=min))
+def number_ends(
+    H: Multigraph, F: Iterable[EdgeId], index: dict[VertexId, int]
+) -> list[tuple[int, int]]:
+    """The ends of each edge of ``F`` as node numbers; an end new to ``index``
+    gets the next number, ``len(index)``, so callers can share one index."""
+    return [
+        (index.setdefault(u, len(index)), index.setdefault(w, len(index)))
+        for u, w in (H.edge(eid).ends for eid in F)
+    ]
 
 
-def count_joins(n: int, pairs: Iterable[tuple[int, int]]) -> int:
+def union_find(n: int, pairs: Iterable[tuple[int, int]]) -> tuple[int, list[int]]:
     """Union-find on the nodes ``0 .. n-1``: merge each pair's two parts.
 
-    Returns how many pairs joined two different parts.  The graph the pairs
-    form on the nodes they touch is connected iff that count is one less
-    than the number of those nodes.  Finds use path halving.
+    Returns how many pairs joined two different parts, and the parent list,
+    whose parent chains end at each part's root.  The pairs' graph on the
+    nodes they touch has that many nodes minus the joins as components.
+    Finds use path halving.
     """
     parent = list(range(n))
     joins = 0
@@ -219,7 +195,26 @@ def count_joins(n: int, pairs: Iterable[tuple[int, int]]) -> int:
         if a != b:
             parent[a] = b
             joins += 1
-    return joins
+    return joins, parent
+
+
+def edge_components(H: Multigraph, F: Iterable[EdgeId]) -> tuple[frozenset[EdgeId], ...]:
+    """Partition ``F`` into maximal connected edge sets.
+
+    An edge set is connected when any two of its edges lie on a path of
+    edges from the set.  One union-find pass over F in id order groups the
+    edges by root, so parts come sorted by least edge id.
+    """
+    fs = sorted(set(F))
+    index: dict[VertexId, int] = {}
+    pairs = number_ends(H, fs, index)
+    _, parent = union_find(len(index), pairs)
+    parts: dict[int, list[EdgeId]] = {}
+    for eid, (a, _) in zip(fs, pairs):
+        while parent[a] != a:
+            a = parent[a]
+        parts.setdefault(a, []).append(eid)
+    return tuple(frozenset(p) for p in parts.values())
 
 
 def contract(H: Multigraph, F: Iterable[EdgeId]) -> tuple[Multigraph, VertexId]:
@@ -227,16 +222,19 @@ def contract(H: Multigraph, F: Iterable[EdgeId]) -> tuple[Multigraph, VertexId]:
 
     The resulting edge set equals E(H) minus F with identities preserved;
     endpoints inside the merged vertex set are remapped to the fresh vertex.
-    An edge outside F joining two merged vertices would become a loop and
-    raises, since callers only ever contract full edge sides.
+    F must form one edge component; the union-find counts them as F's
+    covered vertices minus its joins (none for an empty F).  An edge outside
+    F joining two merged vertices would become a loop and raises, since
+    callers only ever contract full edge sides.
     """
     fs = frozenset(F)
-    parts = edge_components(H, fs)
-    if len(parts) != 1:
+    merged: dict[VertexId, int] = {}
+    pairs = number_ends(H, sorted(fs), merged)
+    parts = len(merged) - union_find(len(merged), pairs)[0]
+    if parts != 1:
         raise DisconnectedContractionSetError(
-            f"contraction set has {len(parts)} edge components, need exactly 1"
+            f"contraction set has {parts} edge components, need exactly 1"
         )
-    merged = H.covered(fs)
     w = "w"
     i = 0
     while H.has_vertex(w):
@@ -254,5 +252,5 @@ def contract(H: Multigraph, F: Iterable[EdgeId]) -> tuple[Multigraph, VertexId]:
         u2 = w if u in merged else u
         x2 = w if x in merged else x
         new_edges.append(EdgeRecord(e.id, (u2, x2)))
-    vertices = (set(H.vertices) - merged) | {w}
+    vertices = [v for v in H.vertices if v not in merged] + [w]
     return Multigraph(vertices, new_edges), w

@@ -24,6 +24,7 @@ import weakref
 from dataclasses import dataclass
 from typing import Iterable, Union
 
+from .errors import InvalidInputError, UnknownEdgeIdError
 from .graph import EdgeId, Multigraph
 
 
@@ -218,12 +219,12 @@ def disjoint_paths_or_separator(
     us = frozenset(U)
     ts = frozenset(T)
     if not us or not ts:
-        raise ValueError("U and T must be nonempty")
-    for n in us | ts:
-        if n not in H:
-            raise KeyError(f"node {n!r} not in graph")
+        raise InvalidInputError("U and T must be nonempty")
+    unknown = [n for n in us | ts if n not in H]
+    if unknown:
+        raise UnknownEdgeIdError(f"unknown edge id {min(unknown)!r}")
     if k < 1:
-        raise ValueError("k must be positive")
+        raise InvalidInputError("k must be positive")
 
     eids = H.edge_ids
     m = len(eids)

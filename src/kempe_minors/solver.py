@@ -43,8 +43,9 @@ from .graph import (
     Multigraph,
     VertexId,
     contract,
-    count_joins,
     edge_components,
+    number_ends,
+    union_find,
 )
 from .paths import PathSystem, disjoint_paths_or_separator
 
@@ -97,7 +98,7 @@ def verify_solution(
     """Accept iff bags form a valid rooted system for (H, partition, T).
 
     Each bag's connectivity is checked by the union-find that
-    ``verify_kempe`` shares, ``graph.count_joins``, over the bag's edges.
+    ``verify_kempe`` shares, ``graph.union_find``, over the bag's edges.
     """
     ts = frozenset(T)
     violations: list[str] = []
@@ -116,10 +117,7 @@ def verify_solution(
             violations.append(f"bag {i} holds unknown edges {bad}")
             continue
         index: dict[VertexId, int] = {}
-        pairs = [
-            (index.setdefault(u, len(index)), index.setdefault(w, len(index)))
-            for u, w in (H.edge(eid).ends for eid in bag)
-        ]
+        pairs = number_ends(H, bag, index)
         covers[i] = frozenset(index)
         for eid in sorted(bag):
             if eid in seen:
@@ -128,7 +126,7 @@ def verify_solution(
                 )
             else:
                 seen[eid] = i
-        if count_joins(len(index), pairs) != len(index) - 1:
+        if union_find(len(index), pairs)[0] != len(index) - 1:
             violations.append(f"bag {i} is not a connected edge set")
         hits = sorted(bag & ts)
         if len(hits) != 1:

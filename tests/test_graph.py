@@ -21,6 +21,7 @@ from kempe_minors.graph import (
     edge_components,
 )
 from linegraph import line_graph
+from searchcomponents import search_components
 
 
 def path_graph(n):
@@ -47,6 +48,30 @@ def small_graphs(draw):
     )
     edges = [edge(f"e{u}-{v}", u, v) for u, v in sorted(chosen)]
     return Multigraph(verts, edges)
+
+
+@st.composite
+def multigraphs(draw):
+    """Multigraphs on up to 8 vertices, parallel edges and isolated vertices
+    allowed, with up to 14 edges."""
+    n = draw(st.integers(min_value=2, max_value=8))
+    verts = [f"v{i}" for i in range(n)]
+    pairs = [(verts[i], verts[j]) for i in range(n) for j in range(i + 1, n)]
+    chosen = draw(st.lists(st.sampled_from(pairs), max_size=14))
+    edges = [edge(f"e{i:02}", u, v) for i, (u, v) in enumerate(chosen)]
+    return Multigraph(verts, edges)
+
+
+def reachable(L, part):
+    """The nodes of ``part`` reachable in L(H)[part] from its least node."""
+    seen = {min(part)}
+    stack = [min(part)]
+    while stack:
+        for n in L[stack.pop()] & part:
+            if n not in seen:
+                seen.add(n)
+                stack.append(n)
+    return seen
 
 
 class TestEdgeRecord:
@@ -77,6 +102,7 @@ class TestMultigraph:
     def test_basic_queries(self):
         H = triangle()
         assert H.vertices == ("a", "b", "c")
+        assert Multigraph(["c", "a", "b", "a"], []).vertices == ("a", "b", "c")
         assert H.edge_ids == ("ab", "ac", "bc")
         assert "ab" in H and "zz" not in H
         assert H.edge("bc").ends == ("b", "c")
@@ -129,20 +155,34 @@ class TestEdgeComponents:
     def test_empty_set(self):
         assert edge_components(path_graph(3), set()) == ()
 
+    def test_unknown_edge_names_the_least_id(self):
+        with pytest.raises(UnknownEdgeIdError, match="^unknown edge id 'q1'$"):
+            edge_components(path_graph(3), {"p0", "q2", "q1"})
+
     @settings(max_examples=60, deadline=None)
     @given(small_graphs(), st.data())
     def test_components_partition_and_connect(self, H, data):
+        # checked against the line graph, which shares no code with the
+        # union-find: L(H)[F]'s components are exactly the edge components
         F = data.draw(st.sets(st.sampled_from(sorted(H.edge_ids))))
         parts = edge_components(H, F)
-        # the parts partition F
+        L = line_graph(H)
+        # the parts partition F, in order of their least edge id
         assert (set().union(*parts) if parts else set()) == set(F)
         assert sum(len(p) for p in parts) == len(F)
-        # each part is itself connected, and no two parts share a vertex
+        assert [min(p) for p in parts] == sorted(min(p) for p in parts)
+        # each part is connected in L(H), and no L(H) edge joins two parts
         for p in parts:
-            assert len(edge_components(H, p)) == 1
+            assert reachable(L, p) == p
         for i in range(len(parts)):
             for j in range(i + 1, len(parts)):
-                assert not (H.covered(parts[i]) & H.covered(parts[j]))
+                assert not any(L[e] & parts[j] for e in parts[i])
+
+    @settings(max_examples=100, deadline=None)
+    @given(multigraphs(), st.data())
+    def test_matches_the_search(self, H, data):
+        F = data.draw(st.sets(st.sampled_from(H.edge_ids))) if H.edge_ids else set()
+        assert edge_components(H, F) == search_components(H, F)
 
 
 class TestLineGraph:
@@ -176,9 +216,12 @@ class TestContract:
         assert len(H2.vertices) == 2
 
     def test_disconnected_set_rejected(self):
+        # the message counts the set's edge components: none for an empty set
         H = path_graph(5)
-        with pytest.raises(DisconnectedContractionSetError):
-            contract(H, {"p0", "p3"})
+        for F, n in [({"p0", "p3"}, 2), (set(), 0)]:
+            message = f"^contraction set has {n} edge components, need exactly 1$"
+            with pytest.raises(DisconnectedContractionSetError, match=message):
+                contract(H, F)
 
     def test_chord_becomes_loop(self):
         H = triangle()

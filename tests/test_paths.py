@@ -12,6 +12,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from kempe_minors import paths
+from kempe_minors.errors import InvalidInputError, UnknownEdgeIdError
 from kempe_minors.graph import Multigraph, contract, edge, edge_components
 from kempe_minors.paths import (
     _INF,
@@ -157,12 +158,20 @@ class TestVertexDisjoint:
             assert all(p[i + 1] in L[p[i]] for i in range(len(p) - 1))
 
     def test_rejects_bad_arguments(self):
+        # the package's own errors, so a caller catching KempeMinorError
+        # sees them; an unknown id is named by the least one
         H = grid_2x3()
-        with pytest.raises(ValueError):
+        nonempty = "^U and T must be nonempty$"
+        with pytest.raises(InvalidInputError, match=nonempty):
             disjoint_paths_or_separator(H, set(), {"a01"}, 1)
-        with pytest.raises(KeyError):
+        with pytest.raises(InvalidInputError, match=nonempty):
+            disjoint_paths_or_separator(H, {"a01"}, set(), 1)
+        with pytest.raises(UnknownEdgeIdError, match="^unknown edge id 'zz'$"):
             disjoint_paths_or_separator(H, {"zz"}, {"a01"}, 1)
-        with pytest.raises(ValueError):
+        for us, ts in [({"zz", "a01"}, {"yz"}), ({"yz"}, {"zz", "zy"})]:
+            with pytest.raises(UnknownEdgeIdError, match="^unknown edge id 'yz'$"):
+                disjoint_paths_or_separator(H, us, ts, 1)
+        with pytest.raises(InvalidInputError, match="^k must be positive$"):
             disjoint_paths_or_separator(H, {"a01"}, {"b01"}, 0)
 
     @settings(max_examples=60, deadline=None)

@@ -16,7 +16,7 @@ from hypothesis import strategies as st
 from kempe_minors.corpus import sample_transversals, standard_corpus
 from kempe_minors.solver import BagSystem, solve, verify_solution
 from linegraph import line_graph
-from test_census import census
+from test_census import DRAWS, census
 
 
 def valid_by_definition(H, part, T, bags):
@@ -50,7 +50,7 @@ def solved():
         if H.num_edges() <= 40:
             for T in sample_transversals(part, 2, seed=len(pool)):
                 pool.append((H, part, T))
-    pool += islice(census(), 0, 3000, 50)
+    pool += islice(census(DRAWS[0][0]), 0, 3000, 50)
     return [(H, part, T, solve(H, part, T)[0].bags) for H, part, T in pool]
 
 
