@@ -28,12 +28,6 @@ class MatchingPartition:
     def k(self) -> int:
         return len(self.classes)
 
-    def all_edges(self) -> frozenset[EdgeId]:
-        out: set[EdgeId] = set()
-        for c in self.classes:
-            out |= c
-        return frozenset(out)
-
 
 @dataclass(frozen=True)
 class Verdict:
@@ -110,13 +104,14 @@ def verify_transversal(part: MatchingPartition, T: Iterable[EdgeId]) -> Verdict:
     """Accept iff T picks exactly one edge from every class and nothing else."""
     ts = frozenset(T)
     violations: list[str] = []
+    stray = set(ts)
     for i, cls in enumerate(part.classes):
-        hit = sorted(ts & cls)
+        hit = ts & cls
+        stray -= hit
         if len(hit) != 1:
             violations.append(
-                f"class {i} is hit {len(hit)} times ({', '.join(map(repr, hit))})"
+                f"class {i} is hit {len(hit)} times ({', '.join(map(repr, sorted(hit)))})"
             )
-    stray = sorted(ts - part.all_edges())
-    for eid in stray:
+    for eid in sorted(stray):
         violations.append(f"edge {eid!r} belongs to no class")
     return Verdict(not violations, tuple(violations))

@@ -168,11 +168,15 @@ def number_ends(
     H: Multigraph, F: Iterable[EdgeId], index: dict[VertexId, int]
 ) -> list[tuple[int, int]]:
     """The ends of each edge of ``F`` as node numbers; an end new to ``index``
-    gets the next number, ``len(index)``, so callers can share one index."""
-    return [
-        (index.setdefault(u, len(index)), index.setdefault(w, len(index)))
-        for u, w in (H.edge(eid).ends for eid in F)
-    ]
+    gets the next number, ``len(index)``, so callers can share one index.
+    The first unknown id in F's order raises UnknownEdgeIdError."""
+    try:
+        return [
+            (index.setdefault(u, len(index)), index.setdefault(w, len(index)))
+            for u, w in (H._edges[eid].ends for eid in F)
+        ]
+    except KeyError as err:
+        raise UnknownEdgeIdError(f"unknown edge id {err.args[0]!r}") from None
 
 
 def union_find(n: int, pairs: Iterable[tuple[int, int]]) -> tuple[int, list[int]]:

@@ -37,7 +37,7 @@ from .coloring import (
     verify_matching_partition,
     verify_transversal,
 )
-from .errors import InternalAssertionError, InvalidInputError
+from .errors import InternalAssertionError, InvalidInputError, UnknownEdgeIdError
 from .graph import (
     EdgeId,
     Multigraph,
@@ -99,45 +99,44 @@ def verify_solution(
 
     Each bag's connectivity is checked by the union-find that
     ``verify_kempe`` shares, ``graph.union_find``, over the bag's edges.
+    A bag is scanned for duplicates only if it meets earlier bags' edges.
     """
     ts = frozenset(T)
     violations: list[str] = []
     if len(bags) != part.k:
         violations.append(f"{len(bags)} bags for {part.k} classes")
-    seen: dict[EdgeId, int] = {}
-    # vertices covered by each non-empty bag of known edges, in bag order;
-    # only these bags take part in the pairwise incidence check
-    covers: dict[int, frozenset[VertexId]] = {}
+    used: set[EdgeId] = set()
+    # vertices covered by each non-empty bag of known edges (its index keys),
+    # in bag order; only these bags take part in the pairwise incidence check
+    covers: dict[int, dict[VertexId, int]] = {}
     for i, bag in enumerate(bags.bags):
         if not bag:
             violations.append(f"bag {i} is empty")
             continue
-        bad = sorted(e for e in bag if e not in H)
-        if bad:
+        index: dict[VertexId, int] = {}
+        try:
+            pairs = number_ends(H, bag, index)
+        except UnknownEdgeIdError:
+            bad = sorted(e for e in bag if e not in H)
             violations.append(f"bag {i} holds unknown edges {bad}")
             continue
-        index: dict[VertexId, int] = {}
-        pairs = number_ends(H, bag, index)
-        covers[i] = frozenset(index)
-        for eid in sorted(bag):
-            if eid in seen:
-                violations.append(
-                    f"edge {eid!r} occurs in bags {seen[eid]} and {i}"
-                )
-            else:
-                seen[eid] = i
+        if not used.isdisjoint(bag):
+            for eid in sorted(bag & used):
+                first = next(j for j in covers if eid in bags.bags[j])
+                violations.append(f"edge {eid!r} occurs in bags {first} and {i}")
+        used |= bag
+        covers[i] = index
         if union_find(len(index), pairs)[0] != len(index) - 1:
             violations.append(f"bag {i} is not a connected edge set")
-        hits = sorted(bag & ts)
+        hits = bag & ts
         if len(hits) != 1:
             violations.append(
-                f"bag {i} holds {len(hits)} transversal edges ({hits})"
+                f"bag {i} holds {len(hits)} transversal edges ({sorted(hits)})"
             )
     for i, j in combinations(covers, 2):
-        if not (covers[i] & covers[j]):
+        if covers[i].keys().isdisjoint(covers[j]):
             violations.append(f"bags {i} and {j} are not incident")
-    unused = sorted(ts - set(seen))
-    for eid in unused:
+    for eid in sorted(ts - used):
         violations.append(f"transversal edge {eid!r} is in no bag")
     return Verdict(not violations, tuple(violations))
 
@@ -341,36 +340,44 @@ def _complete_bags(H: Multigraph, ts: frozenset[EdgeId]) -> list[frozenset[EdgeI
     deepest first.
     """
     by_pair = {e.ends: e.id for e in H.edges()}
+    ends = dict(zip(by_pair.values(), by_pair))
 
     def eid_of(u: VertexId, v: VertexId) -> EdgeId:
         return by_pair[(u, v) if u < v else (v, u)]
 
     verts = sorted(H.covered_vertices())
+    # each vertex's prescribed neighbours, the far ends of its edges in ts;
+    # each level toggles the edges ts gained or lost since the last one
+    t_nbrs: dict[VertexId, set[VertexId]] = {u: set() for u in verts}
+    last_ts: frozenset[EdgeId] = frozenset()
+    gone: set[EdgeId] = set()  # the edges at the pivots removed so far
     fixups: list[tuple[str, frozenset[EdgeId], tuple]] = []
     while len(verts) > 3:
-        t_degree: dict[VertexId, int] = {}
-        for t in ts:
-            for u in H.edge(t).ends:
-                t_degree[u] = t_degree.get(u, 0) + 1
-        v = min((u for u in verts if t_degree.get(u, 0) <= 2), default=None)
+        for t in ts ^ last_ts:
+            u, w = ends[t]
+            t_nbrs[u] ^= {w}
+            t_nbrs[w] ^= {u}
+        last_ts = ts
+        v = next((u for u in verts if len(t_nbrs[u]) <= 2), None)
         _require(v is not None, "no vertex of prescribed degree at most two")
-        nbrs = sorted(H.edge(t).other(v) for t in ts if H.edge(t).covers(v))
+        nbrs = sorted(t_nbrs[v])
 
         if len(nbrs) == 2:
             x, y = nbrs
             rest = ts - {eid_of(v, x), eid_of(v, y)}
-            if all(H.edge(t).covers(x) for t in rest):
+            if len(t_nbrs[x]) - 1 == len(rest):
                 # rest is a spanning star at x; one of its leaves has
                 # prescribed degree one, so pivot on that leaf instead.
                 leaves = [u for u in verts if u not in (v, x, y)]
                 _require(bool(leaves), "spanning star without a free leaf")
                 v, nbrs = min(leaves), [x]
 
-        star = frozenset(eid_of(u, v) for u in verts if u != v)
+        star = frozenset(H.edges_at(v)) - gone
         if len(nbrs) == 2:
-            zs = [z for z in verts if z not in (v, x) and eid_of(x, z) not in ts]
-            _require(bool(zs), "no free edge at the degree-two pivot")
-            xz = eid_of(x, min(zs))
+            # v is x's prescribed neighbour, so z misses it and x
+            z = next((z for z in verts if z != x and z not in t_nbrs[x]), None)
+            _require(z is not None, "no free edge at the degree-two pivot")
+            xz = eid_of(x, z)
             fixups.append(("two", star - {eid_of(v, x)}, (xz, eid_of(v, x))))
             ts = rest | {xz}
         elif len(nbrs) == 1:
@@ -381,7 +388,8 @@ def _complete_bags(H: Multigraph, ts: frozenset[EdgeId]) -> list[frozenset[EdgeI
             xy = min(ts)
             fixups.append(("zero", star, (v, xy, ts)))
             ts = ts - {xy}
-        verts = [u for u in verts if u != v]
+        verts.remove(v)
+        gone.update(H.edges_at(v))
 
     bags = [frozenset({t}) for t in sorted(ts)]
     for case, star, witnesses in reversed(fixups):
@@ -402,8 +410,8 @@ def _complete_bags(H: Multigraph, ts: frozenset[EdgeId]) -> list[frozenset[EdgeI
             bag_f = bags.pop(holder[0])
             wz_cands = sorted((bag_f & level_ts) - {xy})
             _require(len(wz_cands) == 1, "bag holds more than one prescribed edge")
-            x, y = H.edge(xy).ends
-            p, q = H.edge(wz_cands[0]).ends
+            x, y = ends[xy]
+            p, q = ends[wz_cands[0]]
             _require(not ({p, q} <= {x, y}), "prescribed edges coincide")
             w = min({p, q} - {x, y})
             # put w on x's side of the bag split by removing xy; swap x and y

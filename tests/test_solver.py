@@ -12,7 +12,6 @@ from itertools import combinations
 
 import pytest
 from hypothesis import given, settings
-from hypothesis import strategies as st
 
 from kempe_minors import solver
 from kempe_minors.coloring import MatchingPartition
@@ -34,6 +33,7 @@ from kempe_minors.solver import (
     verify_solution,
 )
 from completegraph import complete_graph
+from test_verify import multigraph_systems
 
 
 def bags_as_sets(system):
@@ -186,21 +186,9 @@ class TestVerifySolution:
 
 
     @settings(max_examples=200, deadline=None)
-    @given(st.data())
-    def test_connectivity_agrees_with_edge_components(self, data):
-        # multigraphs with parallel edges; bag systems with empty,
-        # unknown-edge, overlapping and disconnected bags
-        n = data.draw(st.integers(min_value=2, max_value=6))
-        verts = [f"v{i}" for i in range(n)]
-        pairs = [(verts[i], verts[j]) for i in range(n) for j in range(i + 1, n)]
-        chosen = data.draw(st.lists(st.sampled_from(pairs), min_size=1, max_size=10))
-        H = Multigraph(verts, [edge(f"e{i}", u, v) for i, (u, v) in enumerate(chosen)])
-        names = list(H.edge_ids) + ["zz"]
-        bags = BagSystem.of(
-            data.draw(st.lists(st.sets(st.sampled_from(names)), min_size=1, max_size=5))
-        )
-        T = data.draw(st.sets(st.sampled_from(H.edge_ids)))
-        part = MatchingPartition.of([{eid} for eid in H.edge_ids])
+    @given(multigraph_systems())
+    def test_connectivity_agrees_with_edge_components(self, case):
+        H, part, T, bags = case
         verdict = verify_solution(H, part, T, bags)
         reported = [
             i
@@ -334,11 +322,15 @@ class TestParallel:
 # eight seeded random T sets and one spanning star at the first vertex plus
 # the edge between the next two.  The bags depend on the pivot choice (the
 # least vertex of T-degree at most two), so the pin holds them fixed across
-# changes to how that pivot is found.
+# changes to how that pivot is found.  n = 13, 19 and 31 are orders the
+# complete-endgame benchmark solves (K_{2n-1} from GK_{2n}).
 PINNED_COMPLETE_BAGS = {
     7: "68f8679a4c19e214055b323db340a7ec71c85e84a398dcaf839150a8f480cdfe",
     9: "c7144b40eb05e493a3d13e3375f351b399a5b066e4ac5ecf689d0a1965c7522e",
     11: "2f3535c2845b92654e1c9f4f2efbc29d4aeca1ea1110efa8a1dbf6de3829ec9d",
+    13: "9007d5eff835931ac5e1fd9ddb0f476d6ad2946808e5eb31c91c2c0c7c660fe4",
+    19: "c71d8bcc787921d6d0b48bd05672a9e80547c6527be1c544be5fc0faec7955c6",
+    31: "9c60212b05a39c4932229b8e9c54cdc586eec82ae127f33cf64fc106cd32da92",
 }
 
 

@@ -4,7 +4,8 @@ Solved systems from the corpus and the census are perturbed once, and the
 verdict is compared with a checker written from the definition on the line
 graph L(H): k bags, each a nonempty set of nodes of L(H) that induces a
 connected subgraph and holds exactly one T-edge, pairwise disjoint and
-pairwise adjacent in L(H).
+pairwise adjacent in L(H).  The whole verdict, every message in order, is
+also compared with the checker verify_solution replaced.
 """
 
 from functools import cache
@@ -13,9 +14,12 @@ from itertools import combinations, islice
 from hypothesis import given, seed, settings
 from hypothesis import strategies as st
 
+from kempe_minors.coloring import MatchingPartition
 from kempe_minors.corpus import sample_transversals, standard_corpus
+from kempe_minors.graph import Multigraph, edge
 from kempe_minors.solver import BagSystem, solve, verify_solution
 from linegraph import line_graph
+from referenceverify import reference_verify_solution
 from test_census import DRAWS, census
 
 
@@ -80,6 +84,25 @@ def perturbed(draw):
     return H, part, T, BagSystem.of(bags)
 
 
+@st.composite
+def multigraph_systems(draw):
+    """A multigraph with parallel edges, its partition into single edges, a
+    set T of its edges and bag systems with empty, unknown-edge, overlapping
+    and disconnected bags."""
+    n = draw(st.integers(min_value=2, max_value=6))
+    verts = [f"v{i}" for i in range(n)]
+    pairs = [(verts[i], verts[j]) for i in range(n) for j in range(i + 1, n)]
+    chosen = draw(st.lists(st.sampled_from(pairs), min_size=1, max_size=10))
+    H = Multigraph(verts, [edge(f"e{i}", u, v) for i, (u, v) in enumerate(chosen)])
+    names = list(H.edge_ids) + ["zz"]
+    bags = BagSystem.of(
+        draw(st.lists(st.sets(st.sampled_from(names)), min_size=1, max_size=5))
+    )
+    T = draw(st.sets(st.sampled_from(H.edge_ids)))
+    part = MatchingPartition.of([{eid} for eid in H.edge_ids])
+    return H, part, T, bags
+
+
 @seed(20181)
 @settings(max_examples=400, deadline=None, database=None)
 @given(perturbed())
@@ -105,3 +128,42 @@ def test_every_single_edge_move_agrees_with_the_definition():
                     assert verdict == valid_by_definition(H, part, T, system)
                     verdicts.add(verdict)
     assert verdicts == {True, False}
+
+
+# The whole verdict, every message in order, equals the checker this one
+# replaced (tests/referenceverify.py), on perturbed solved systems and on
+# random multigraph systems.
+
+
+@seed(20182)
+@settings(max_examples=400, deadline=None, database=None)
+@given(perturbed())
+def test_verdict_equals_the_reference_on_perturbed_systems(case):
+    assert verify_solution(*case) == reference_verify_solution(*case)
+
+
+@seed(20183)
+@settings(max_examples=400, deadline=None, database=None)
+@given(multigraph_systems())
+def test_verdict_equals_the_reference_on_random_systems(case):
+    assert verify_solution(*case) == reference_verify_solution(*case)
+
+
+def test_an_edge_in_three_bags_names_the_first_bag_twice():
+    H = Multigraph(
+        "abcde",
+        [edge("ab", "a", "b"), edge("bc", "b", "c"), edge("cd", "c", "d"),
+         edge("de", "d", "e")],
+    )
+    part = MatchingPartition.of([{"ab", "cd"}, {"bc", "de"}])
+    T = {"ab", "de"}
+    bags = BagSystem.of([{"ab", "bc"}, {"ab"}, {"ab", "bc"}])
+    verdict = verify_solution(H, part, T, bags)
+    assert verdict.violations == (
+        "3 bags for 2 classes",
+        "edge 'ab' occurs in bags 0 and 1",
+        "edge 'ab' occurs in bags 0 and 2",
+        "edge 'bc' occurs in bags 0 and 2",
+        "transversal edge 'de' is in no bag",
+    )
+    assert verdict == reference_verify_solution(H, part, T, bags)
