@@ -28,6 +28,9 @@ class MatchingPartition:
     def k(self) -> int:
         return len(self.classes)
 
+    def all_edges(self) -> frozenset[EdgeId]:
+        return frozenset().union(*self.classes)
+
 
 @dataclass(frozen=True)
 class Verdict:

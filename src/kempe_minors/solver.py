@@ -350,7 +350,6 @@ def _complete_bags(H: Multigraph, ts: frozenset[EdgeId]) -> list[frozenset[EdgeI
     # each level toggles the edges ts gained or lost since the last one
     t_nbrs: dict[VertexId, set[VertexId]] = {u: set() for u in verts}
     last_ts: frozenset[EdgeId] = frozenset()
-    gone: set[EdgeId] = set()  # the edges at the pivots removed so far
     fixups: list[tuple[str, frozenset[EdgeId], tuple]] = []
     while len(verts) > 3:
         for t in ts ^ last_ts:
@@ -372,7 +371,7 @@ def _complete_bags(H: Multigraph, ts: frozenset[EdgeId]) -> list[frozenset[EdgeI
                 _require(bool(leaves), "spanning star without a free leaf")
                 v, nbrs = min(leaves), [x]
 
-        star = frozenset(H.edges_at(v)) - gone
+        star = frozenset(eid_of(u, v) for u in verts if u != v)
         if len(nbrs) == 2:
             # v is x's prescribed neighbour, so z misses it and x
             z = next((z for z in verts if z != x and z not in t_nbrs[x]), None)
@@ -389,7 +388,6 @@ def _complete_bags(H: Multigraph, ts: frozenset[EdgeId]) -> list[frozenset[EdgeI
             fixups.append(("zero", star, (v, xy, ts)))
             ts = ts - {xy}
         verts.remove(v)
-        gone.update(H.edges_at(v))
 
     bags = [frozenset({t}) for t in sorted(ts)]
     for case, star, witnesses in reversed(fixups):
