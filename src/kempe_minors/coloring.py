@@ -87,17 +87,16 @@ def verify_kempe(H: Multigraph, part: MatchingPartition) -> Verdict:
 
     Stops at the first failing pair; the verdict names it by class indices.
     Every class edge is looked up first, so an unknown edge id raises
-    UnknownEdgeIdError.  The classes' ends are numbered into one shared
-    index, and each pair is checked by one ``graph.union_find`` pass over
-    the two classes' edges: the union is connected iff the successful joins
-    number one less than the vertices it covers (an empty union covers
-    none).
+    UnknownEdgeIdError.  Each pair is checked by one ``graph.union_find``
+    pass over the two classes' edges, on the vertex numbers H fixed when it
+    was built: the union is connected iff the successful joins number one
+    less than the vertices it covers (an empty union covers none).
     """
-    index: dict[VertexId, int] = {}
-    ends = [number_ends(H, cls, index) for cls in part.classes]
+    n = len(H.vertices)
+    ends = [number_ends(H, cls) for cls in part.classes]
     covers = [{x for pair in pairs for x in pair} for pairs in ends]
     for i, j in combinations(range(part.k), 2):
-        joins, _ = union_find(len(index), ends[i] + ends[j])
+        joins, _ = union_find(n, ends[i] + ends[j])
         if joins != len(covers[i] | covers[j]) - 1:
             return _reject(f"union of classes {i} and {j} is not connected")
     return Verdict(True)

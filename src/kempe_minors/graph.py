@@ -2,8 +2,9 @@
 
 Edges carry opaque string identifiers that survive contraction: contracting
 an edge set removes exactly those edges and remaps endpoints, it never
-renumbers anything.  All values are immutable after construction and all
-operations are pure.
+renumbers anything.  Each multigraph numbers its vertices once, by position
+in ``H.vertices``, for every union-find; all values, that numbering
+included, are immutable after construction and all operations are pure.
 """
 
 from __future__ import annotations
@@ -61,32 +62,39 @@ class Multigraph:
 
     Parallel edges are permitted; they are distinct records with equal
     endpoint pairs.  Vertices and edge identifiers are strings ordered by
-    their natural string order, which fixes deterministic iteration.
+    their natural string order, which fixes iteration and vertex numbers.
 
-    Instances support weak references.  Their immutability is load-bearing:
-    ``solver.solve`` skips the instance checks for the (graph, partition)
-    pair it last validated, and the Menger flow reuses the network it last
-    built for the same graph, both by object identity.
+    Instances support weak references.  Their immutability, vertex numbers
+    included, is load-bearing: ``solver.solve`` skips the instance checks for
+    the (graph, partition) pair it last validated, and the Menger flow reuses
+    the network it last built for the same graph, both by object identity.
     """
 
-    __slots__ = ("_edges", "_at", "__weakref__")
+    __slots__ = ("_edges", "_at", "_ends", "__weakref__")
 
     def __init__(self, vertices: Iterable[VertexId], edges: Iterable[EdgeRecord]):
         recs: dict[EdgeId, EdgeRecord] = {}
-        at: dict[VertexId, list[EdgeId]] = {v: [] for v in sorted(set(vertices))}
+        pos = {v: i for i, v in enumerate(sorted(set(vertices)))}
+        at: list[list[EdgeId]] = [[] for _ in pos]
+        ends: dict[EdgeId, tuple[int, int]] = {}
         for e in edges:
-            if e.id in recs:
-                raise DuplicateEdgeIdError(f"edge id {e.id!r} occurs twice")
+            eid = e.id
+            if eid in recs:
+                raise DuplicateEdgeIdError(f"edge id {eid!r} occurs twice")
             u, w = e.ends
-            if u not in at or w not in at:
+            try:
+                a, b = pos[u], pos[w]
+            except KeyError:
                 raise UnknownEndpointError(
-                    f"edge {e.id!r} has endpoint outside the vertex set"
-                )
-            recs[e.id] = e
-            at[u].append(e.id)
-            at[w].append(e.id)
+                    f"edge {eid!r} has endpoint outside the vertex set"
+                ) from None
+            recs[eid] = e
+            ends[eid] = (a, b)
+            at[a].append(eid)
+            at[b].append(eid)
         self._edges = {eid: recs[eid] for eid in sorted(recs)}
-        self._at = {v: tuple(sorted(ids)) for v, ids in at.items()}
+        self._at = {v: tuple(sorted(ids)) for v, ids in zip(pos, at)}
+        self._ends = ends
 
     # -- basic queries -------------------------------------------------------
 
@@ -151,7 +159,7 @@ class Multigraph:
 
     def without_edges(self, F: Iterable[EdgeId]) -> "Multigraph":
         drop = set(F)
-        for eid in drop:
+        for eid in sorted(drop):
             self.edge(eid)
         return Multigraph(self._at, (e for e in self.edges() if e.id not in drop))
 
@@ -164,17 +172,11 @@ class Multigraph:
         )
 
 
-def number_ends(
-    H: Multigraph, F: Iterable[EdgeId], index: dict[VertexId, int]
-) -> list[tuple[int, int]]:
-    """The ends of each edge of ``F`` as node numbers; an end new to ``index``
-    gets the next number, ``len(index)``, so callers can share one index.
-    The first unknown id in F's order raises UnknownEdgeIdError."""
+def number_ends(H: Multigraph, F: Iterable[EdgeId]) -> list[tuple[int, int]]:
+    """The ends of each edge of ``F``, in F's order, as the vertex numbers H
+    recorded when built; the first unknown id raises UnknownEdgeIdError."""
     try:
-        return [
-            (index.setdefault(u, len(index)), index.setdefault(w, len(index)))
-            for u, w in (H._edges[eid].ends for eid in F)
-        ]
+        return list(map(H._ends.__getitem__, F))
     except KeyError as err:
         raise UnknownEdgeIdError(f"unknown edge id {err.args[0]!r}") from None
 
@@ -206,13 +208,12 @@ def edge_components(H: Multigraph, F: Iterable[EdgeId]) -> tuple[frozenset[EdgeI
     """Partition ``F`` into maximal connected edge sets.
 
     An edge set is connected when any two of its edges lie on a path of
-    edges from the set.  One union-find pass over F in id order groups the
-    edges by root, so parts come sorted by least edge id.
+    edges from the set.  One union-find pass on H's vertex numbers over F in
+    id order groups the edges by root, so parts come sorted by least edge id.
     """
     fs = sorted(set(F))
-    index: dict[VertexId, int] = {}
-    pairs = number_ends(H, fs, index)
-    _, parent = union_find(len(index), pairs)
+    pairs = number_ends(H, fs)
+    _, parent = union_find(len(H.vertices), pairs)
     parts: dict[int, list[EdgeId]] = {}
     for eid, (a, _) in zip(fs, pairs):
         while parent[a] != a:
@@ -226,15 +227,16 @@ def contract(H: Multigraph, F: Iterable[EdgeId]) -> tuple[Multigraph, VertexId]:
 
     The resulting edge set equals E(H) minus F with identities preserved;
     endpoints inside the merged vertex set are remapped to the fresh vertex.
-    F must form one edge component; the union-find counts them as F's
-    covered vertices minus its joins (none for an empty F).  An edge outside
-    F joining two merged vertices would become a loop and raises, since
-    callers only ever contract full edge sides.
+    F must form one edge component; the union-find on H's vertex numbers
+    counts them as F's covered vertices minus its joins (none for an empty
+    F).  An edge outside F joining two merged vertices would become a loop
+    and raises, since callers only ever contract full edge sides.
     """
     fs = frozenset(F)
-    merged: dict[VertexId, int] = {}
-    pairs = number_ends(H, sorted(fs), merged)
-    parts = len(merged) - union_find(len(merged), pairs)[0]
+    pairs = number_ends(H, sorted(fs))
+    vertices = H.vertices
+    merged = {vertices[x] for pair in pairs for x in pair}
+    parts = len(merged) - union_find(len(vertices), pairs)[0]
     if parts != 1:
         raise DisconnectedContractionSetError(
             f"contraction set has {parts} edge components, need exactly 1"
@@ -256,5 +258,5 @@ def contract(H: Multigraph, F: Iterable[EdgeId]) -> tuple[Multigraph, VertexId]:
         u2 = w if u in merged else u
         x2 = w if x in merged else x
         new_edges.append(EdgeRecord(e.id, (u2, x2)))
-    vertices = [v for v in H.vertices if v not in merged] + [w]
-    return Multigraph(vertices, new_edges), w
+    kept = [v for v in vertices if v not in merged] + [w]
+    return Multigraph(kept, new_edges), w

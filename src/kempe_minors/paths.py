@@ -25,7 +25,7 @@ from dataclasses import dataclass
 from typing import Iterable, Union
 
 from .errors import InvalidInputError, UnknownEdgeIdError
-from .graph import EdgeId, Multigraph
+from .graph import EdgeId, Multigraph, number_ends
 
 
 @dataclass(frozen=True)
@@ -68,8 +68,8 @@ def _template(H: Multigraph) -> tuple:
     ``j ^ 1`` its reverse, ``out[x]`` node x's arcs in search order.
 
     Nodes: edge i of ``H.edge_ids`` is in_i = 2i and out_i = 2i+1, and the
-    vertices follow as hubs in sorted order.  Arcs, in id order, each with
-    an even id and an empty reverse:
+    hub of H's vertex number x (``graph.number_ends``) is 2m + x.  Arcs, in
+    id order, each with an even id and an empty reverse:
 
     - ``2i``, ``2i+1``: in_i -> out_i of capacity 1, and its reverse; a
       minimum cut therefore consists of these arcs;
@@ -81,11 +81,10 @@ def _template(H: Multigraph) -> tuple:
     gets ``j+1, j+2`` or ``j+5, j+6`` per incident edge, in edge order.
     The arcs are filled by list operations, not arc by arc.
     """
-    ends = [e.ends for e in H.edges()]
+    ends = number_ends(H, H.edge_ids)
     m = len(ends)
-    hub = {v: 2 * m + x for x, v in enumerate(H.vertices)}
-    first = [hub[u] for u, _ in ends]
-    second = [hub[w] for _, w in ends]
+    first = [2 * m + x for x, _ in ends]
+    second = [2 * m + y for _, y in ends]
     ins = range(0, 2 * m, 2)
     outs = range(1, 2 * m, 2)
     js = range(2 * m, 10 * m, 8)
@@ -98,7 +97,7 @@ def _template(H: Multigraph) -> tuple:
     out = [
         arcs for x, j in zip(ins, js) for arcs in ([x, j + 3, j + 7], [x + 1, j, j + 4])
     ]
-    out += [[] for _ in hub]
+    out += [[] for _ in H.vertices]
     for j, a, b in zip(js, first, second):
         out[a] += (j + 1, j + 2)
         out[b] += (j + 5, j + 6)

@@ -97,25 +97,25 @@ def verify_solution(
 ) -> Verdict:
     """Accept iff bags form a valid rooted system for (H, partition, T).
 
-    Each bag's connectivity is checked by the union-find that
-    ``verify_kempe`` shares, ``graph.union_find``, over the bag's edges.
-    A bag is scanned for duplicates only if it meets earlier bags' edges.
+    Each bag's connectivity is checked by ``graph.union_find`` on H's vertex
+    numbers, and two bags are incident iff their covered numbers meet.  A
+    bag is scanned for duplicates only if it meets earlier bags' edges.
     """
     ts = frozenset(T)
     violations: list[str] = []
     if len(bags) != part.k:
         violations.append(f"{len(bags)} bags for {part.k} classes")
+    n = len(H.vertices)
     used: set[EdgeId] = set()
-    # vertices covered by each non-empty bag of known edges (its index keys),
-    # in bag order; only these bags take part in the pairwise incidence check
-    covers: dict[int, dict[VertexId, int]] = {}
+    # vertex numbers covered by each non-empty bag of known edges, in bag
+    # order; only these bags take part in the pairwise incidence check
+    covers: dict[int, set[int]] = {}
     for i, bag in enumerate(bags.bags):
         if not bag:
             violations.append(f"bag {i} is empty")
             continue
-        index: dict[VertexId, int] = {}
         try:
-            pairs = number_ends(H, bag, index)
+            pairs = number_ends(H, bag)
         except UnknownEdgeIdError:
             bad = sorted(e for e in bag if e not in H)
             violations.append(f"bag {i} holds unknown edges {bad}")
@@ -125,8 +125,8 @@ def verify_solution(
                 first = next(j for j in covers if eid in bags.bags[j])
                 violations.append(f"edge {eid!r} occurs in bags {first} and {i}")
         used |= bag
-        covers[i] = index
-        if union_find(len(index), pairs)[0] != len(index) - 1:
+        cover = covers[i] = {x for pair in pairs for x in pair}
+        if union_find(n, pairs)[0] != len(cover) - 1:
             violations.append(f"bag {i} is not a connected edge set")
         hits = bag & ts
         if len(hits) != 1:
@@ -134,7 +134,7 @@ def verify_solution(
                 f"bag {i} holds {len(hits)} transversal edges ({sorted(hits)})"
             )
     for i, j in combinations(covers, 2):
-        if covers[i].keys().isdisjoint(covers[j]):
+        if covers[i].isdisjoint(covers[j]):
             violations.append(f"bags {i} and {j} are not incident")
     for eid in sorted(ts - used):
         violations.append(f"transversal edge {eid!r} is in no bag")
@@ -325,7 +325,7 @@ def solve_complete(H: Multigraph, T: Iterable[EdgeId]) -> BagSystem:
             raise InvalidInputError(f"graph is not complete: no edge {u!r},{v!r}")
     if len(ts) != n:
         raise InvalidInputError(f"|T| = {len(ts)}, need n = {n}")
-    for eid in ts:
+    for eid in sorted(ts):
         H.edge(eid)
     return BagSystem(tuple(_complete_bags(H, ts)))
 

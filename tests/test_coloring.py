@@ -17,6 +17,7 @@ from kempe_minors.errors import UnknownEdgeIdError
 from kempe_minors.generators import gen_circulant, k4_seed
 from kempe_minors.graph import Multigraph, edge, edge_components
 from endcount import pair_end_count, pair_subgraph_ends
+from referencekempe import reference_verify_kempe
 
 
 def square_with_colors():
@@ -152,6 +153,13 @@ class TestKempe:
         verdict = verify_kempe(H, part)
         assert verdict.ok == (not expected)
         assert verdict.violations == expected
+
+    @settings(max_examples=300, deadline=None)
+    @given(partitioned_multigraphs())
+    def test_matches_the_replaced_check(self, instance):
+        # non-Kempe partitions included: the first failing pair is the same
+        H, part = instance
+        assert verify_kempe(H, part) == reference_verify_kempe(H, part)
 
     @settings(max_examples=50, deadline=None)
     @given(partitioned_multigraphs(), st.data())

@@ -1,4 +1,5 @@
-"""Multigraph primitives: records, components, line graphs, contraction."""
+"""Multigraph primitives: records, vertex numbers, components, line graphs,
+contraction."""
 
 import pytest
 from hypothesis import given, settings
@@ -19,7 +20,9 @@ from kempe_minors.graph import (
     contract,
     edge,
     edge_components,
+    number_ends,
 )
+from kempe_minors.generators import delete_vertex, gen_circulant
 from linegraph import line_graph
 from searchcomponents import search_components
 
@@ -138,8 +141,52 @@ class TestMultigraph:
         assert H3.edge_ids == ("bc",) and H3.vertices == ("b", "c")
         with pytest.raises(UnknownEdgeIdError):
             H.without_edges({"zz"})
+        # the least unknown id is named, whatever the set's order
+        with pytest.raises(UnknownEdgeIdError, match="^unknown edge id 'yy'$"):
+            H.without_edges({"ab", "zz", "yy"})
         with pytest.raises(UnknownVertexError):
             H.without_vertex("z")
+
+
+def assert_numbered(H):
+    """Every edge's numbered ends, read back through ``H.vertices``, are its
+    ends."""
+    vertices = H.vertices
+    for eid, (a, b) in zip(H.edge_ids, number_ends(H, H.edge_ids)):
+        assert (vertices[a], vertices[b]) == H.edge(eid).ends
+
+
+class TestNumberEnds:
+    def test_triangle(self):
+        H = triangle()
+        assert number_ends(H, ["bc", "ab", "bc"]) == [(1, 2), (0, 1), (1, 2)]
+        assert number_ends(H, []) == []
+
+    def test_unknown_ids_name_the_first_in_order(self):
+        H = triangle()
+        for F, bad in [(["ab", "zz", "yy"], "zz"), (["yy", "ab", "zz"], "yy")]:
+            with pytest.raises(UnknownEdgeIdError, match=f"^unknown edge id '{bad}'$"):
+                number_ends(H, F)
+
+    @settings(max_examples=100, deadline=None)
+    @given(multigraphs(), st.data())
+    def test_derived_graphs_read_back(self, H, data):
+        assert_numbered(H)
+        F = data.draw(st.sets(st.sampled_from(H.edge_ids))) if H.edge_ids else set()
+        assert_numbered(H.without_edges(F))
+        assert_numbered(H.without_vertex(data.draw(st.sampled_from(H.vertices))))
+        if H.edge_ids:
+            # an edge with all its parallels: contracting them merges its two
+            # ends into a fresh vertex and shifts the later positions
+            ends = H.edge(data.draw(st.sampled_from(H.edge_ids))).ends
+            H2, w = contract(H, {e.id for e in H.edges() if e.ends == ends})
+            assert w in H2.vertices and not set(ends) & set(H2.vertices)
+            assert_numbered(H2)
+
+    @pytest.mark.parametrize("m, k, v", [(5, 3, "b0"), (7, 4, "t3"), (11, 5, "b04")])
+    def test_vertex_deletion_reads_back(self, m, k, v):
+        H2, _ = delete_vertex(*gen_circulant(m, tuple(range(k))), v)
+        assert_numbered(H2)
 
 
 class TestEdgeComponents:

@@ -16,7 +16,11 @@ from hypothesis import given, settings
 from kempe_minors import solver
 from kempe_minors.coloring import MatchingPartition
 from kempe_minors.corpus import sample_transversals
-from kempe_minors.errors import InternalAssertionError, InvalidInputError
+from kempe_minors.errors import (
+    InternalAssertionError,
+    InvalidInputError,
+    UnknownEdgeIdError,
+)
 from kempe_minors.generators import (
     delete_vertex,
     gen_circulant,
@@ -438,6 +442,9 @@ class TestCompleteEndgame:
         )
         with pytest.raises(InvalidInputError):
             solve_complete(multi, {"ab", "bc", "ac"})
+        # the least unknown id is named, whatever the set's order
+        with pytest.raises(UnknownEdgeIdError, match="^unknown edge id 'yy'$"):
+            solve_complete(complete_graph(3), {"e0-1", "zz", "yy"})
 
     def test_solve_routes_through_fallback(self):
         H, part = k5_round_robin()
