@@ -87,10 +87,12 @@ def verify_kempe(H: Multigraph, part: MatchingPartition) -> Verdict:
 
     Stops at the first failing pair; the verdict names it by class indices.
     Every class edge is looked up first, so an unknown edge id raises
-    UnknownEdgeIdError.  Each pair is checked by one ``graph.union_find``
-    pass over the two classes' edges, on the vertex numbers H fixed when it
-    was built: the union is connected iff the successful joins number one
-    less than the vertices it covers (an empty union covers none).
+    UnknownEdgeIdError naming the least unknown id of the first class that
+    holds one (``graph.number_ends``).  Each pair is checked by one
+    ``graph.union_find`` pass over the two classes' edges, on the vertex
+    numbers H fixed when it was built: the union is connected iff the
+    successful joins number one less than the vertices it covers (an empty
+    union covers none).
     """
     n = len(H.vertices)
     ends = [number_ends(H, cls) for cls in part.classes]

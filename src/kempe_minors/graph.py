@@ -134,11 +134,10 @@ class Multigraph:
         return len(self._edges)
 
     def covered(self, F: Iterable[EdgeId]) -> frozenset[VertexId]:
-        """Vertices incident with at least one edge of ``F``."""
-        out: set[VertexId] = set()
-        for eid in F:
-            out.update(self.edge(eid).ends)
-        return frozenset(out)
+        """Vertices incident with at least one edge of the collection ``F``;
+        an unknown id raises as in :func:`number_ends`."""
+        vertices = self.vertices
+        return frozenset(vertices[x] for pair in number_ends(self, F) for x in pair)
 
     def covered_vertices(self) -> frozenset[VertexId]:
         return frozenset(v for v, ids in self._at.items() if ids)
@@ -159,13 +158,11 @@ class Multigraph:
 
     def without_edges(self, F: Iterable[EdgeId]) -> "Multigraph":
         drop = set(F)
-        for eid in sorted(drop):
-            self.edge(eid)
+        number_ends(self, drop)
         return Multigraph(self._at, (e for e in self.edges() if e.id not in drop))
 
     def without_vertex(self, v: VertexId) -> "Multigraph":
-        if v not in self._at:
-            raise UnknownVertexError(f"unknown vertex {v!r}")
+        self.edges_at(v)
         return Multigraph(
             (u for u in self._at if u != v),
             (e for e in self.edges() if not e.covers(v)),
@@ -174,11 +171,13 @@ class Multigraph:
 
 def number_ends(H: Multigraph, F: Iterable[EdgeId]) -> list[tuple[int, int]]:
     """The ends of each edge of ``F``, in F's order, as the vertex numbers H
-    recorded when built; the first unknown id raises UnknownEdgeIdError."""
+    recorded when built.  An unknown id raises UnknownEdgeIdError naming the
+    least unknown id of F, whatever F's order (for a collection F)."""
     try:
         return list(map(H._ends.__getitem__, F))
     except KeyError as err:
-        raise UnknownEdgeIdError(f"unknown edge id {err.args[0]!r}") from None
+        bad = min((e for e in F if e not in H._ends), default=err.args[0])
+        raise UnknownEdgeIdError(f"unknown edge id {bad!r}") from None
 
 
 def union_find(n: int, pairs: Iterable[tuple[int, int]]) -> tuple[int, list[int]]:
@@ -233,7 +232,7 @@ def contract(H: Multigraph, F: Iterable[EdgeId]) -> tuple[Multigraph, VertexId]:
     and raises, since callers only ever contract full edge sides.
     """
     fs = frozenset(F)
-    pairs = number_ends(H, sorted(fs))
+    pairs = number_ends(H, fs)
     vertices = H.vertices
     merged = {vertices[x] for pair in pairs for x in pair}
     parts = len(merged) - union_find(len(vertices), pairs)[0]

@@ -14,7 +14,7 @@ from itertools import combinations
 from typing import Iterable, Optional
 
 from .errors import BudgetExceededError, InvalidInputError
-from .graph import EdgeId, Multigraph, edge_components
+from .graph import EdgeId, Multigraph, edge_components, number_ends
 from .solver import BagSystem
 
 
@@ -38,8 +38,7 @@ def oracle_solve(
     Raises BudgetExceededError when the state cap is hit first.
     """
     ts = sorted(set(T))
-    for eid in ts:
-        H.edge(eid)
+    number_ends(H, ts)
     k = len(ts)
     if k == 0:
         raise InvalidInputError("prescribed edge set is empty")

@@ -24,7 +24,7 @@ import weakref
 from dataclasses import dataclass
 from typing import Iterable, Union
 
-from .errors import InvalidInputError, UnknownEdgeIdError
+from .errors import InvalidInputError
 from .graph import EdgeId, Multigraph, number_ends
 
 
@@ -219,9 +219,7 @@ def disjoint_paths_or_separator(
     ts = frozenset(T)
     if not us or not ts:
         raise InvalidInputError("U and T must be nonempty")
-    unknown = [n for n in us | ts if n not in H]
-    if unknown:
-        raise UnknownEdgeIdError(f"unknown edge id {min(unknown)!r}")
+    number_ends(H, us | ts)
     if k < 1:
         raise InvalidInputError("k must be positive")
 

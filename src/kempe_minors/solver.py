@@ -282,16 +282,16 @@ def _solve_with_parallel(
 # complete-graph endgame
 
 
-def assert_complete_fallback(H: Multigraph, part: MatchingPartition) -> None:
+def assert_complete_fallback(H: Multigraph, k: int) -> None:
     """Confirm the leftover case: H is the simple complete graph on k vertices.
 
-    Preconditions: no vertex of degree k, H simple, partition Kempe-verified.
-    Vertices covered by no edge are ignored.  Each conclusion is checked
-    directly: maximum degree k-1, exactly k covered vertices, uniform degrees
-    and every pair adjacent.  A failed one raises InternalAssertionError; on
-    valid inputs that is unreachable.
+    The paper's lemma: for k >= 3, a simple H with a Kempe partition into k
+    classes and no vertex of degree k is K_k.  ``solve_complete`` certifies
+    its input here too.  Vertices covered by no edge are ignored.  Each
+    conclusion is checked directly: maximum degree k-1, exactly k covered
+    vertices, uniform degrees and every pair adjacent.  A failed one raises
+    InternalAssertionError; within ``solve`` that is unreachable.
     """
-    k = part.k
     verts = sorted(H.covered_vertices())
     degs = {v: H.degree(v) for v in verts}
     delta = max(degs.values(), default=0)
@@ -310,23 +310,22 @@ def solve_complete(H: Multigraph, T: Iterable[EdgeId]) -> BagSystem:
 
     T may be any set of n edges of the complete graph on n >= 3 vertices,
     not necessarily a matching transversal.  Returns n bags, each with one
-    T-edge.
+    T-edge.  H is certified by ``assert_complete_fallback(H, n)``, whose
+    failure message an InvalidInputError carries.
     """
     ts = frozenset(T)
-    verts = sorted(H.covered_vertices())
-    n = len(verts)
+    n = len(H.covered_vertices())
     if n < 3:
         raise InvalidInputError(f"need at least 3 vertices, have {n}")
-    if not H.is_simple():
-        raise InvalidInputError("graph is not simple")
-    adjacent = {e.ends for e in H.edges()}
-    for u, v in combinations(verts, 2):
-        if (u, v) not in adjacent:
-            raise InvalidInputError(f"graph is not complete: no edge {u!r},{v!r}")
     if len(ts) != n:
         raise InvalidInputError(f"|T| = {len(ts)}, need n = {n}")
-    for eid in sorted(ts):
-        H.edge(eid)
+    number_ends(H, ts)
+    try:
+        assert_complete_fallback(H, n)
+    except InternalAssertionError as exc:
+        raise InvalidInputError(
+            f"graph is not a simple complete graph: {exc}"
+        ) from None
     return BagSystem(tuple(_complete_bags(H, ts)))
 
 
@@ -491,7 +490,7 @@ def _solve_rec(
     if pivot is not None:
         return _solve_menger(H, classes, ts, pivot, trace)
 
-    assert_complete_fallback(H, MatchingPartition(tuple(classes)))
+    assert_complete_fallback(H, k)
     trace.append(TraceStep("complete", {"k": k, "max_deg": k - 1}))
     return _complete_bags(H, ts)
 

@@ -145,6 +145,13 @@ class TestKempe:
         H, part = k4_seed()
         assert verify_kempe(H, part)
 
+    def test_unknown_ids_name_the_least(self):
+        # whatever order the hash seed gives the class's set
+        H, part = square_with_colors()
+        part = MatchingPartition.of([*part.classes, {"zz", "yy", "xx"}])
+        with pytest.raises(UnknownEdgeIdError, match="^unknown edge id 'xx'$"):
+            verify_kempe(H, part)
+
     @settings(max_examples=300, deadline=None)
     @given(partitioned_multigraphs())
     def test_agrees_with_definition(self, instance):

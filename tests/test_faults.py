@@ -300,8 +300,8 @@ CONSTRUCTION_FAULTS = [
         "transversal pattern outside the case analysis",
         id="parallel-two-t-edges-in-one-class",
     ),
-    # The same message is required twice in _solve_with_parallel; only the
-    # first can fire (see the gate).
+    # _solve_with_parallel checks once, while it orders the two-edge
+    # classes, that each one is followed by exactly one other.
     pytest.param(
         lambda: parallel(
             ("e", "f", "xa", "yc", "xd", "yb"),

@@ -120,6 +120,11 @@ class TestMultigraph:
     def test_covered(self):
         H = triangle()
         assert H.covered({"ab"}) == {"a", "b"}
+        assert H.covered(["ab", "ac"]) == {"a", "b", "c"}
+        assert H.covered(()) == frozenset()
+        # the least unknown id is named, whatever the set's order
+        with pytest.raises(UnknownEdgeIdError, match="^unknown edge id 'xx'$"):
+            H.covered({"zz", "yy", "xx"})
         assert H.covered_vertices() == {"a", "b", "c"}
         H2 = Multigraph(["a", "b", "isolated"], [edge("ab", "a", "b")])
         assert H2.covered_vertices() == {"a", "b"}
@@ -162,11 +167,18 @@ class TestNumberEnds:
         assert number_ends(H, ["bc", "ab", "bc"]) == [(1, 2), (0, 1), (1, 2)]
         assert number_ends(H, []) == []
 
-    def test_unknown_ids_name_the_first_in_order(self):
+    def test_unknown_ids_name_the_least(self):
         H = triangle()
-        for F, bad in [(["ab", "zz", "yy"], "zz"), (["yy", "ab", "zz"], "yy")]:
+        for F, bad in [
+            (["ab", "zz", "yy"], "yy"),
+            (["yy", "ab", "zz"], "yy"),
+            ({"zz", "yy", "xx"}, "xx"),
+        ]:
             with pytest.raises(UnknownEdgeIdError, match=f"^unknown edge id '{bad}'$"):
                 number_ends(H, F)
+        # a one-shot iterator is spent by then: the id that failed is named
+        with pytest.raises(UnknownEdgeIdError, match="^unknown edge id 'yy'$"):
+            number_ends(H, iter(["ab", "yy"]))
 
     @settings(max_examples=100, deadline=None)
     @given(multigraphs(), st.data())

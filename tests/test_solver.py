@@ -14,7 +14,11 @@ import pytest
 from hypothesis import given, settings
 
 from kempe_minors import solver
-from kempe_minors.coloring import MatchingPartition
+from kempe_minors.coloring import (
+    MatchingPartition,
+    verify_kempe,
+    verify_matching_partition,
+)
 from kempe_minors.corpus import sample_transversals
 from kempe_minors.errors import (
     InternalAssertionError,
@@ -27,7 +31,7 @@ from kempe_minors.generators import (
     k4_seed,
     splice,
 )
-from kempe_minors.graph import Multigraph, edge, edge_components
+from kempe_minors.graph import Multigraph, contract, edge, edge_components
 from kempe_minors.paths import Separator
 from kempe_minors.solver import (
     BagSystem,
@@ -37,6 +41,7 @@ from kempe_minors.solver import (
     verify_solution,
 )
 from completegraph import complete_graph
+from splicechain import last_block_transversals, splice_chain
 from test_verify import multigraph_systems
 
 
@@ -354,7 +359,7 @@ class TestCompleteEndgame:
 
     def test_fallback_certificate_on_k5(self):
         H, part = k5_round_robin()
-        assert assert_complete_fallback(H, part) is None
+        assert assert_complete_fallback(H, part.k) is None
 
     # One row per check of assert_complete_fallback that an input reaches
     # first: the edges as "uv" strings (a trailing digit makes a parallel
@@ -394,9 +399,8 @@ class TestCompleteEndgame:
             sorted({v for eid in ids for v in eid[:2]}),
             [edge(eid, eid[0], eid[1]) for eid in ids],
         )
-        # only k is read from the partition
         with pytest.raises(InternalAssertionError) as info:
-            assert_complete_fallback(H, MatchingPartition.of([()] * k))
+            assert_complete_fallback(H, k)
         assert str(info.value) == message
 
     def test_no_recursion_limit(self):
@@ -429,7 +433,8 @@ class TestCompleteEndgame:
         with pytest.raises(InvalidInputError):
             solve_complete(H, {"e0-1", "e0-2"})  # |T| != n
         missing = H.without_edges({"e0-1"})
-        with pytest.raises(InvalidInputError):
+        prefix = "^graph is not a simple complete graph: "
+        with pytest.raises(InvalidInputError, match=prefix + "degrees are not uniform"):
             solve_complete(missing, {"e0-2", "e0-3", "e1-2", "e1-3"})
         multi = Multigraph(
             ["a", "b", "c"],
@@ -440,7 +445,7 @@ class TestCompleteEndgame:
                 edge("ac", "a", "c"),
             ],
         )
-        with pytest.raises(InvalidInputError):
+        with pytest.raises(InvalidInputError, match=prefix + "a vertex of full degree"):
             solve_complete(multi, {"ab", "bc", "ac"})
         # the least unknown id is named, whatever the set's order
         with pytest.raises(UnknownEdgeIdError, match="^unknown edge id 'yy'$"):
@@ -499,6 +504,21 @@ class TestSeparatorBranch:
         assert len(avoiding) == 1
         assert step.details["side_c"] and step.details["side_d"]
         assert set(step.details["lift_paths"]) == set(S)
+
+    def test_separator_step_at_size(self):
+        H, part = splice_chain(13, 5, 4)
+        assert H.num_edges() == 240
+        for T in last_block_transversals(part, 30, seed=0):
+            bags, trace = solve(H, part, T)
+            assert verify_solution(H, part, T, bags)
+            assert trace.kinds() == ("separator", "menger")
+            # the contraction lemma: contracting the star side leaves the
+            # restricted classes a Kempe coloring of the far side
+            side_c = trace.steps[0].details["side_c"]
+            H_far, _ = contract(H, side_c)
+            far = MatchingPartition.of(c - side_c for c in part.classes)
+            assert verify_matching_partition(H_far, far)
+            assert verify_kempe(H_far, far)
 
     def test_separator_leaving_one_side_is_internal_error(self, monkeypatch):
         # the separator lemma: H - S has exactly two edge sides.  A flow
