@@ -3,8 +3,11 @@
 Edges carry opaque string identifiers that survive contraction: contracting
 an edge set removes exactly those edges and remaps endpoints, it never
 renumbers anything.  Each multigraph numbers its vertices once, by position
-in ``H.vertices``, for every union-find; all values, that numbering
-included, are immutable after construction and all operations are pure.
+in ``H.vertices``, for every union-find, and records the facts the solver
+asks of every graph: its parallel pair and the least vertex of each degree.
+All values are immutable after construction and all operations are pure,
+save the complete-graph certificate that the solver's endgame check
+records once it passes (see ``Multigraph``).
 """
 
 from __future__ import annotations
@@ -64,13 +67,23 @@ class Multigraph:
     endpoint pairs.  Vertices and edge identifiers are strings ordered by
     their natural string order, which fixes iteration and vertex numbers.
 
+    The constructor records the vertex tuple, each edge's numbered ends,
+    the parallel pair and the least vertex of each degree.
+
     Instances support weak references.  Their immutability, vertex numbers
     included, is load-bearing: ``solver.solve`` skips the instance checks for
     the (graph, partition) pair it last validated, and the Menger flow reuses
     the network it last built for the same graph, both by object identity.
+    One slot, ``_complete_k``, is written after construction, only by
+    ``solver.assert_complete_fallback`` and only once all its checks pass:
+    it is the k they passed for.  They fix k as the maximum degree plus one,
+    so the slot never changes once set.
     """
 
-    __slots__ = ("_edges", "_at", "_ends", "__weakref__")
+    __slots__ = (
+        "_edges", "_at", "_ends", "_vertices", "_parallel", "_least",
+        "_complete_k", "__weakref__",
+    )
 
     def __init__(self, vertices: Iterable[VertexId], edges: Iterable[EdgeRecord]):
         recs: dict[EdgeId, EdgeRecord] = {}
@@ -95,12 +108,29 @@ class Multigraph:
         self._edges = {eid: recs[eid] for eid in sorted(recs)}
         self._at = {v: tuple(sorted(ids)) for v, ids in zip(pos, at)}
         self._ends = ends
+        self._vertices = tuple(pos)
+        # the first edge, in id order, whose numbered ends repeat an earlier
+        # one's; the scan runs only when some ends repeat
+        self._parallel: tuple[EdgeId, EdgeId] | None = None
+        if len(set(ends.values())) < len(ends):
+            seen: dict[tuple[int, int], EdgeId] = {}
+            for eid in self._edges:
+                pair = ends[eid]
+                if pair in seen:
+                    self._parallel = (seen[pair], eid)
+                    break
+                seen[pair] = eid
+        least: dict[int, VertexId] = {}
+        for v, ids in self._at.items():
+            least.setdefault(len(ids), v)
+        self._least = least
+        self._complete_k: int | None = None
 
     # -- basic queries -------------------------------------------------------
 
     @property
     def vertices(self) -> tuple[VertexId, ...]:
-        return tuple(self._at)
+        return self._vertices
 
     @property
     def edge_ids(self) -> tuple[EdgeId, ...]:
@@ -143,16 +173,18 @@ class Multigraph:
         return frozenset(v for v, ids in self._at.items() if ids)
 
     def parallel_pair(self) -> tuple[EdgeId, EdgeId] | None:
-        """The lexicographically least pair of parallel edges, if any."""
-        seen: dict[tuple[VertexId, VertexId], EdgeId] = {}
-        for e in self.edges():
-            if e.ends in seen:
-                return (seen[e.ends], e.id)
-            seen[e.ends] = e.id
-        return None
+        """The first edge, in id order, parallel to an earlier one, after
+        that earlier one (the least id with the same ends); None if H is
+        simple.  Recorded at construction."""
+        return self._parallel
 
     def is_simple(self) -> bool:
-        return self.parallel_pair() is None
+        return self._parallel is None
+
+    def least_vertex_of_degree(self, d: int) -> VertexId | None:
+        """The least vertex of degree ``d``, or None if there is none.
+        Recorded at construction."""
+        return self._least.get(d)
 
     # -- derived graphs ------------------------------------------------------
 

@@ -291,7 +291,14 @@ def assert_complete_fallback(H: Multigraph, k: int) -> None:
     conclusion is checked directly: maximum degree k-1, exactly k covered
     vertices, uniform degrees and every pair adjacent.  A failed one raises
     InternalAssertionError; within ``solve`` that is unreachable.
+
+    H is immutable, so the verdict for (H, k) never changes: once every
+    check has passed, k is recorded on H, and a later call with the same k
+    returns at once.  A failure records nothing and raises the same message
+    on every call; any other k is checked in full.
     """
+    if H._complete_k == k:
+        return
     verts = sorted(H.covered_vertices())
     degs = {v: H.degree(v) for v in verts}
     delta = max(degs.values(), default=0)
@@ -303,6 +310,7 @@ def assert_complete_fallback(H: Multigraph, k: int) -> None:
     adjacent = {e.ends for e in H.edges()}
     for u, v in combinations(verts, 2):
         _require((u, v) in adjacent, f"vertices {u!r},{v!r} are not adjacent")
+    H._complete_k = k
 
 
 def solve_complete(H: Multigraph, T: Iterable[EdgeId]) -> BagSystem:
@@ -486,7 +494,8 @@ def _solve_rec(
     if pair is not None:
         return _solve_with_parallel(H, classes, ts, pair, trace)
 
-    pivot = min((v for v in H.covered_vertices() if H.degree(v) == k), default=None)
+    # k >= 3, so a vertex of degree k is covered
+    pivot = H.least_vertex_of_degree(k)
     if pivot is not None:
         return _solve_menger(H, classes, ts, pivot, trace)
 

@@ -1,5 +1,5 @@
-"""Multigraph primitives: records, vertex numbers, components, line graphs,
-contraction."""
+"""Multigraph primitives: records, vertex numbers and the other facts
+recorded at construction, components, line graphs, contraction."""
 
 import pytest
 from hypothesis import given, settings
@@ -24,6 +24,7 @@ from kempe_minors.graph import (
 )
 from kempe_minors.generators import delete_vertex, gen_circulant
 from linegraph import line_graph
+from referenceparallel import reference_parallel_pair
 from searchcomponents import search_components
 
 
@@ -136,7 +137,24 @@ class TestMultigraph:
         )
         assert H.parallel_pair() == ("e", "f")
         assert not H.is_simple()
-        assert triangle().is_simple()
+        assert triangle().is_simple() and triangle().parallel_pair() is None
+        # the first repeat in id order, whatever order the edges arrive in:
+        # 'c' repeats 'b', before 'd' repeats 'a'
+        H2 = Multigraph(
+            ["w", "x", "y", "z"],
+            [edge("d", "w", "x"), edge("c", "y", "z"), edge("b", "z", "y"),
+             edge("a", "x", "w")],
+        )
+        assert H2.parallel_pair() == ("b", "c")
+
+    def test_least_vertex_of_degree(self):
+        H = Multigraph(
+            ["d", "c", "b", "a", "iso"],
+            [edge("ab", "a", "b"), edge("bc", "b", "c"), edge("bd", "b", "d")],
+        )
+        assert [H.least_vertex_of_degree(d) for d in range(5)] == [
+            "iso", "a", None, "b", None,
+        ]
 
     def test_without_edges_and_vertex(self):
         H = triangle()
@@ -153,12 +171,21 @@ class TestMultigraph:
             H.without_vertex("z")
 
 
-def assert_numbered(H):
-    """Every edge's numbered ends, read back through ``H.vertices``, are its
-    ends."""
+def assert_recorded(H):
+    """Every fact H recorded when built matches its definition: each edge's
+    numbered ends, read back through ``H.vertices``, are its ends; the
+    parallel pair is the reference scan's; the least vertex of each degree
+    is the least vertex of that degree; and ``H.vertices`` is one tuple."""
     vertices = H.vertices
+    assert H.vertices is vertices
     for eid, (a, b) in zip(H.edge_ids, number_ends(H, H.edge_ids)):
         assert (vertices[a], vertices[b]) == H.edge(eid).ends
+    pair = reference_parallel_pair(H)
+    assert H.parallel_pair() == pair and H.is_simple() == (pair is None)
+    top = max((H.degree(v) for v in vertices), default=0)
+    for d in range(top + 2):
+        least = min((v for v in vertices if H.degree(v) == d), default=None)
+        assert H.least_vertex_of_degree(d) == least
 
 
 class TestNumberEnds:
@@ -183,22 +210,22 @@ class TestNumberEnds:
     @settings(max_examples=100, deadline=None)
     @given(multigraphs(), st.data())
     def test_derived_graphs_read_back(self, H, data):
-        assert_numbered(H)
+        assert_recorded(H)
         F = data.draw(st.sets(st.sampled_from(H.edge_ids))) if H.edge_ids else set()
-        assert_numbered(H.without_edges(F))
-        assert_numbered(H.without_vertex(data.draw(st.sampled_from(H.vertices))))
+        assert_recorded(H.without_edges(F))
+        assert_recorded(H.without_vertex(data.draw(st.sampled_from(H.vertices))))
         if H.edge_ids:
             # an edge with all its parallels: contracting them merges its two
             # ends into a fresh vertex and shifts the later positions
             ends = H.edge(data.draw(st.sampled_from(H.edge_ids))).ends
             H2, w = contract(H, {e.id for e in H.edges() if e.ends == ends})
             assert w in H2.vertices and not set(ends) & set(H2.vertices)
-            assert_numbered(H2)
+            assert_recorded(H2)
 
     @pytest.mark.parametrize("m, k, v", [(5, 3, "b0"), (7, 4, "t3"), (11, 5, "b04")])
     def test_vertex_deletion_reads_back(self, m, k, v):
         H2, _ = delete_vertex(*gen_circulant(m, tuple(range(k))), v)
-        assert_numbered(H2)
+        assert_recorded(H2)
 
 
 class TestEdgeComponents:

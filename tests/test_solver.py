@@ -49,20 +49,21 @@ def bags_as_sets(system):
     return sorted(sorted(b) for b in system.bags)
 
 
-def k5_round_robin():
-    """K_5 with five near-perfect matching classes; class i misses vertex i."""
-    H = complete_graph(5)
+def round_robin(n):
+    """K_n, n an odd prime, with n near-perfect matching classes; class i
+    misses vertex i.  It is GK_{n+1} less a vertex, so the classes are Kempe."""
+    H = complete_graph(n)
     names = H.vertices
 
     def eid(u, v):
         return f"e{min(u, v)}-{max(u, v)}"
 
     classes = []
-    for i in range(5):
+    for i in range(n):
         cls = {
             eid(names[u], names[v])
-            for u, v in combinations(range(5), 2)
-            if (u + v) % 5 == (2 * i) % 5
+            for u, v in combinations(range(n), 2)
+            if (u + v) % n == (2 * i) % n
         }
         classes.append(cls)
     return H, MatchingPartition.of(classes)
@@ -358,8 +359,17 @@ class TestCompleteEndgame:
         assert digest == PINNED_COMPLETE_BAGS[n]
 
     def test_fallback_certificate_on_k5(self):
-        H, part = k5_round_robin()
+        H, part = round_robin(5)
         assert assert_complete_fallback(H, part.k) is None
+        # certified for k = 5, K_5 is still checked in full for any other k
+        for k, message in [
+            (4, "a vertex of full degree is present"),
+            (6, "maximum degree 4 is not k-1"),
+        ]:
+            with pytest.raises(InternalAssertionError) as info:
+                assert_complete_fallback(H, k)
+            assert str(info.value) == message
+        assert assert_complete_fallback(H, 5) is None
 
     # One row per check of assert_complete_fallback that an input reaches
     # first: the edges as "uv" strings (a trailing digit makes a parallel
@@ -399,9 +409,47 @@ class TestCompleteEndgame:
             sorted({v for eid in ids for v in eid[:2]}),
             [edge(eid, eid[0], eid[1]) for eid in ids],
         )
-        with pytest.raises(InternalAssertionError) as info:
-            assert_complete_fallback(H, k)
-        assert str(info.value) == message
+        # a failed check records nothing, so a second call fails the same way
+        for _ in range(2):
+            with pytest.raises(InternalAssertionError) as info:
+                assert_complete_fallback(H, k)
+            assert str(info.value) == message
+
+    def test_fallback_checks_each_graph_once(self, monkeypatch):
+        # the first check of assert_complete_fallback marks a full run
+        runs = []
+        require = solver._require
+
+        def counted(cond, fact):
+            if fact == "a vertex of full degree is present":
+                runs.append(fact)
+            require(cond, fact)
+
+        monkeypatch.setattr(solver, "_require", counted)
+        H, part = round_robin(7)
+        transversals = sample_transversals(part, 40, seed=0)
+        assert len(transversals) == 40
+        for T in transversals:
+            bags, trace = solve(H, part, T)
+            assert trace.kinds() == ("complete",)
+            assert verify_solution(H, part, T, bags)
+        assert len(runs) == 1
+        # an equal graph built afresh carries no certificate
+        fresh = Multigraph(H.vertices, H.edges())
+        bags, _ = solve(fresh, part, transversals[0])
+        assert verify_solution(fresh, part, transversals[0], bags)
+        assert len(runs) == 2
+
+    def test_certified_graph_still_checks_its_transversal(self):
+        H = complete_graph(4)
+        T = {"e0-1", "e0-2", "e0-3", "e1-2"}
+        bags = solve_complete(H, T)
+        part = MatchingPartition.of([{t} for t in sorted(T)])
+        assert verify_solution(H, part, T, bags)
+        with pytest.raises(InvalidInputError, match=r"^\|T\| = 2, need n = 4$"):
+            solve_complete(H, {"e0-1", "e0-2"})
+        with pytest.raises(UnknownEdgeIdError, match="^unknown edge id 'yy'$"):
+            solve_complete(H, {"e0-1", "e0-2", "zz", "yy"})
 
     def test_no_recursion_limit(self):
         # K_200 takes 197 levels; 100 frames above the caller must do
@@ -452,7 +500,7 @@ class TestCompleteEndgame:
             solve_complete(complete_graph(3), {"e0-1", "zz", "yy"})
 
     def test_solve_routes_through_fallback(self):
-        H, part = k5_round_robin()
+        H, part = round_robin(5)
         T = frozenset(min(c) for c in part.classes)
         bags, trace = solve(H, part, T)
         assert trace.kinds() == ("complete",)
