@@ -172,7 +172,7 @@ def _cmd_corpus_run(args) -> int:
             # solve validates the instance and verifies its own output
             bags, _trace = solve(H, part, ts)
             print(f"{path.name}: ok ({len(bags)} bags)")
-        except KempeMinorError as exc:
+        except (KempeMinorError, OSError) as exc:
             failures += 1
             print(f"{path.name}: FAIL ({exc})")
     return EXIT_OK if failures == 0 else EXIT_REJECT

@@ -5,9 +5,7 @@ an edge set removes exactly those edges and remaps endpoints, it never
 renumbers anything.  Each multigraph numbers its vertices once, by position
 in ``H.vertices``, for every union-find, and records the facts the solver
 asks of every graph: its parallel pair and the least vertex of each degree.
-All values are immutable after construction and all operations are pure,
-save the complete-graph certificate that the solver's endgame check
-records once it passes (see ``Multigraph``).
+All values are immutable after construction and all operations are pure.
 """
 
 from __future__ import annotations
@@ -74,15 +72,11 @@ class Multigraph:
     included, is load-bearing: ``solver.solve`` skips the instance checks for
     the (graph, partition) pair it last validated, and the Menger flow reuses
     the network it last built for the same graph, both by object identity.
-    One slot, ``_complete_k``, is written after construction, only by
-    ``solver.assert_complete_fallback`` and only once all its checks pass:
-    it is the k they passed for.  They fix k as the maximum degree plus one,
-    so the slot never changes once set.
+    No slot is written after construction.
     """
 
     __slots__ = (
-        "_edges", "_at", "_ends", "_vertices", "_parallel", "_least",
-        "_complete_k", "__weakref__",
+        "_edges", "_at", "_ends", "_vertices", "_parallel", "_least", "__weakref__",
     )
 
     def __init__(self, vertices: Iterable[VertexId], edges: Iterable[EdgeRecord]):
@@ -124,7 +118,6 @@ class Multigraph:
         for v, ids in self._at.items():
             least.setdefault(len(ids), v)
         self._least = least
-        self._complete_k: int | None = None
 
     # -- basic queries -------------------------------------------------------
 
@@ -185,6 +178,11 @@ class Multigraph:
         """The least vertex of degree ``d``, or None if there is none.
         Recorded at construction."""
         return self._least.get(d)
+
+    def degrees(self) -> frozenset[int]:
+        """The degrees of H's vertices, read from those recorded at
+        construction."""
+        return frozenset(self._least)
 
     # -- derived graphs ------------------------------------------------------
 

@@ -288,29 +288,21 @@ def assert_complete_fallback(H: Multigraph, k: int) -> None:
     The paper's lemma: for k >= 3, a simple H with a Kempe partition into k
     classes and no vertex of degree k is K_k.  ``solve_complete`` certifies
     its input here too.  Vertices covered by no edge are ignored.  Each
-    conclusion is checked directly: maximum degree k-1, exactly k covered
-    vertices, uniform degrees and every pair adjacent.  A failed one raises
-    InternalAssertionError; within ``solve`` that is unreachable.
-
-    H is immutable, so the verdict for (H, k) never changes: once every
-    check has passed, k is recorded on H, and a later call with the same k
-    returns at once.  A failure records nothing and raises the same message
-    on every call; any other k is checked in full.
+    conclusion is checked from the degrees H recorded when built: maximum
+    degree k-1, exactly k covered vertices and uniform degrees.  With
+    simplicity these give the last one, every pair adjacent: each of the
+    delta + 1 covered vertices has delta distinct neighbours among the
+    other delta.  A failed check raises InternalAssertionError; within
+    ``solve`` that is unreachable.
     """
-    if H._complete_k == k:
-        return
-    verts = sorted(H.covered_vertices())
-    degs = {v: H.degree(v) for v in verts}
-    delta = max(degs.values(), default=0)
+    covered = len(H.covered_vertices())
+    degrees = H.degrees() - {0}
+    delta = max(degrees, default=0)
     _require(delta < k, "a vertex of full degree is present")
     _require(H.is_simple(), "parallel edges present in the fallback")
     _require(delta == k - 1, f"maximum degree {delta} is not k-1")
-    _require(len(verts) == delta + 1, f"{len(verts)} covered vertices, need {delta + 1}")
-    _require(all(d == delta for d in degs.values()), "degrees are not uniform")
-    adjacent = {e.ends for e in H.edges()}
-    for u, v in combinations(verts, 2):
-        _require((u, v) in adjacent, f"vertices {u!r},{v!r} are not adjacent")
-    H._complete_k = k
+    _require(covered == delta + 1, f"{covered} covered vertices, need {delta + 1}")
+    _require(degrees == {delta}, "degrees are not uniform")
 
 
 def solve_complete(H: Multigraph, T: Iterable[EdgeId]) -> BagSystem:

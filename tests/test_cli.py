@@ -332,6 +332,7 @@ class TestCorpusRun:
         (d / "latin1.json").write_bytes(b'{"vertices": ["\xe9"]}')
         H, part = k4_seed()
         write_instance(d / "k4.json", H, part)
+        (d / "sub.json").mkdir()
         assert main(["corpus", "run", "--dir", str(d)]) == EXIT_REJECT
         lines = capsys.readouterr().out.splitlines()
         assert lines[0].startswith("deep.json: FAIL (")
@@ -340,6 +341,9 @@ class TestCorpusRun:
         assert lines[2] == "k4.json: ok (3 bags)"
         assert lines[3].startswith("latin1.json: FAIL (")
         assert "byte 15: not UTF-8" in lines[3]
+        assert lines[4].startswith("sub.json: FAIL (")
+        assert "Is a directory" in lines[4]
+        assert len(lines) == 5
 
     def test_empty_directory(self, tmp_path):
         d = tmp_path / "empty"

@@ -75,7 +75,6 @@ class TestMatchingPartition:
     def test_accessors(self):
         _, part = square_with_colors()
         assert part.k == 2
-        assert part.all_edges() == {"ab", "bc", "cd", "ad"}
 
     def test_accepts_valid(self):
         H, part = square_with_colors()

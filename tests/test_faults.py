@@ -352,8 +352,6 @@ def test_construction_fault(fault, message):
 # first on every input that could reach it.  The key is the message as
 # written in solver.py, with every interpolated value shown as {}.
 NOT_YET_FAULTED = {
-    # a simple graph on delta + 1 vertices, all of degree delta, is complete
-    "vertices {},{} are not adjacent": "pre-empted by 'degrees are not uniform'",
     # the loop runs while more than three vertices remain, so a vertex
     # outside {v, x, y} always exists
     "spanning star without a free leaf": "pre-empted by the loop condition",

@@ -175,7 +175,8 @@ def assert_recorded(H):
     """Every fact H recorded when built matches its definition: each edge's
     numbered ends, read back through ``H.vertices``, are its ends; the
     parallel pair is the reference scan's; the least vertex of each degree
-    is the least vertex of that degree; and ``H.vertices`` is one tuple."""
+    is the least vertex of that degree; the degrees are those of its
+    vertices; and ``H.vertices`` is one tuple."""
     vertices = H.vertices
     assert H.vertices is vertices
     for eid, (a, b) in zip(H.edge_ids, number_ends(H, H.edge_ids)):
@@ -186,6 +187,7 @@ def assert_recorded(H):
     for d in range(top + 2):
         least = min((v for v in vertices if H.degree(v) == d), default=None)
         assert H.least_vertex_of_degree(d) == least
+    assert H.degrees() == {H.degree(v) for v in vertices}
 
 
 class TestNumberEnds:

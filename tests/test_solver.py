@@ -41,6 +41,7 @@ from kempe_minors.solver import (
     verify_solution,
 )
 from completegraph import complete_graph
+from referencecomplete import reference_complete_fallback
 from splicechain import last_block_transversals, splice_chain
 from test_verify import multigraph_systems
 
@@ -361,7 +362,7 @@ class TestCompleteEndgame:
     def test_fallback_certificate_on_k5(self):
         H, part = round_robin(5)
         assert assert_complete_fallback(H, part.k) is None
-        # certified for k = 5, K_5 is still checked in full for any other k
+        # K_5 passes for k = 5 and fails for any other k, in any call order
         for k, message in [
             (4, "a vertex of full degree is present"),
             (6, "maximum degree 4 is not k-1"),
@@ -371,10 +372,41 @@ class TestCompleteEndgame:
             assert str(info.value) == message
         assert assert_complete_fallback(H, 5) is None
 
+    def test_fallback_matches_reference_exhaustively(self):
+        # every labelled graph on five vertices, with and without a parallel
+        # copy of its least edge and with and without an isolated vertex,
+        # for each k from 0 to 6: the outcome and message of the all-pairs
+        # reference check, which the degree checks imply
+        def outcome(check, H, k):
+            try:
+                check(H, k)
+            except InternalAssertionError as exc:
+                return str(exc)
+            return None
+
+        names = "abcde"
+        pairs = list(combinations(names, 2))
+        calls = passes = 0
+        for mask in range(1 << len(pairs)):
+            edges = [edge(u + v, u, v) for i, (u, v) in enumerate(pairs) if mask >> i & 1]
+            edge_sets = [edges]
+            if edges:
+                u, v = edges[0].ends
+                edge_sets.append(edges + [edge(u + v + "2", u, v)])
+            for es in edge_sets:
+                for vertices in (names, names + "f"):
+                    H = Multigraph(vertices, es)
+                    for k in range(7):
+                        got = outcome(assert_complete_fallback, H, k)
+                        assert got == outcome(reference_complete_fallback, H, k)
+                        calls += 1
+                        passes += got is None
+        assert (calls, passes) == (28658, 52)
+
     # One row per check of assert_complete_fallback that an input reaches
     # first: the edges as "uv" strings (a trailing digit makes a parallel
-    # copy), k, and the message.  The adjacency check has no row: a simple
-    # graph on delta + 1 vertices, all of degree delta, is complete.
+    # copy), k, and the message.  Adjacency has no check of its own: a
+    # simple graph on delta + 1 vertices, all of degree delta, is complete.
     FALLBACK_FAULTS = [
         pytest.param(
             ["ab", "ac", "ad", "bc", "bd", "cd"],
@@ -409,38 +441,11 @@ class TestCompleteEndgame:
             sorted({v for eid in ids for v in eid[:2]}),
             [edge(eid, eid[0], eid[1]) for eid in ids],
         )
-        # a failed check records nothing, so a second call fails the same way
-        for _ in range(2):
-            with pytest.raises(InternalAssertionError) as info:
-                assert_complete_fallback(H, k)
-            assert str(info.value) == message
+        with pytest.raises(InternalAssertionError) as info:
+            assert_complete_fallback(H, k)
+        assert str(info.value) == message
 
-    def test_fallback_checks_each_graph_once(self, monkeypatch):
-        # the first check of assert_complete_fallback marks a full run
-        runs = []
-        require = solver._require
-
-        def counted(cond, fact):
-            if fact == "a vertex of full degree is present":
-                runs.append(fact)
-            require(cond, fact)
-
-        monkeypatch.setattr(solver, "_require", counted)
-        H, part = round_robin(7)
-        transversals = sample_transversals(part, 40, seed=0)
-        assert len(transversals) == 40
-        for T in transversals:
-            bags, trace = solve(H, part, T)
-            assert trace.kinds() == ("complete",)
-            assert verify_solution(H, part, T, bags)
-        assert len(runs) == 1
-        # an equal graph built afresh carries no certificate
-        fresh = Multigraph(H.vertices, H.edges())
-        bags, _ = solve(fresh, part, transversals[0])
-        assert verify_solution(fresh, part, transversals[0], bags)
-        assert len(runs) == 2
-
-    def test_certified_graph_still_checks_its_transversal(self):
+    def test_solve_complete_checks_its_transversal(self):
         H = complete_graph(4)
         T = {"e0-1", "e0-2", "e0-3", "e1-2"}
         bags = solve_complete(H, T)
@@ -553,20 +558,30 @@ class TestSeparatorBranch:
         assert step.details["side_c"] and step.details["side_d"]
         assert set(step.details["lift_paths"]) == set(S)
 
-    def test_separator_step_at_size(self):
-        H, part = splice_chain(13, 5, 4)
+    @pytest.mark.parametrize(
+        "glue, kinds",
+        [
+            pytest.param("greatest", ("separator", "menger"), id="greatest"),
+            pytest.param("least", ("separator", "separator", "menger"), id="least"),
+        ],
+    )
+    def test_separator_step_at_size(self, glue, kinds):
+        H, part = splice_chain(13, 5, 4, glue)
         assert H.num_edges() == 240
         for T in last_block_transversals(part, 30, seed=0):
             bags, trace = solve(H, part, T)
             assert verify_solution(H, part, T, bags)
-            assert trace.kinds() == ("separator", "menger")
-            # the contraction lemma: contracting the star side leaves the
-            # restricted classes a Kempe coloring of the far side
-            side_c = trace.steps[0].details["side_c"]
-            H_far, _ = contract(H, side_c)
-            far = MatchingPartition.of(c - side_c for c in part.classes)
-            assert verify_matching_partition(H_far, far)
-            assert verify_kempe(H_far, far)
+            assert trace.kinds() == kinds
+            # the contraction lemma at every separator level: contracting
+            # the star side leaves the restricted classes a Kempe coloring
+            # of the far side
+            H_far, far = H, part
+            for step in trace.steps[:-1]:
+                side_c = step.details["side_c"]
+                H_far, _ = contract(H_far, side_c)
+                far = MatchingPartition.of(c - side_c for c in far.classes)
+                assert verify_matching_partition(H_far, far)
+                assert verify_kempe(H_far, far)
 
     def test_separator_leaving_one_side_is_internal_error(self, monkeypatch):
         # the separator lemma: H - S has exactly two edge sides.  A flow
