@@ -69,10 +69,10 @@ class Multigraph:
     the parallel pair and the least vertex of each degree.
 
     Instances support weak references.  Their immutability, vertex numbers
-    included, is load-bearing: ``solver.solve`` skips the instance checks for
-    the (graph, partition) pair it last validated, and the Menger flow reuses
-    the network it last built for the same graph, both by object identity.
-    No slot is written after construction.
+    included, is load-bearing: ``solver.solve``'s one memo, keyed on object
+    identity, keeps the last (graph, partition) pair that passed the
+    instance checks together with the graph's flow network.  No slot is
+    written after construction.
     """
 
     __slots__ = (

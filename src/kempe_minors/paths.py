@@ -9,18 +9,17 @@ standing in for the clique that L(H) has at it.  The minimum separators of
 the two coincide and are read off the final residual reachability; the
 flow's own paths, one through each separator edge, come with the separator.
 
-The network is two plain lists, ``out`` and ``head`` (see ``_template``);
+The network is two plain lists, ``out`` and ``head`` (see ``network``);
 a call's flow is a third, ``cap``, and the flow on an arc is read from its
 reverse arc.  The network has no source or sink: U enters the flow as its
 start nodes and T as its end nodes.  So the network depends on H alone and
-no call writes to it; it stays in a one-slot memo keyed on H until H is
-collected.  The arc ids and each node's arc order fix the search order,
-hence every path, separator and bag.
+no call writes to it: a caller may build it once and pass it to every call
+on H, from any thread.  The module keeps no state.  The arc ids and each
+node's arc order fix the search order, hence every path, separator and bag.
 """
 
 from __future__ import annotations
 
-import weakref
 from dataclasses import dataclass
 from typing import Iterable, Union
 
@@ -60,12 +59,12 @@ class Separator:
 _INF = 1 << 30
 
 
-def _template(H: Multigraph) -> tuple:
+def network(H: Multigraph) -> tuple[list[list[int]], list[int], dict[EdgeId, int]]:
     """The vertex-edge incidence network of H.
 
-    Returns ``(ref, out, head, index)``: H by weak reference, the network
-    and each edge id's position.  ``head[j]`` is the end of arc ``j``,
-    ``j ^ 1`` its reverse, ``out[x]`` node x's arcs in search order.
+    Returns ``(out, head, index)``: the network and each edge id's
+    position.  ``head[j]`` is the end of arc ``j``, ``j ^ 1`` its
+    reverse, ``out[x]`` node x's arcs in search order.
 
     Nodes: edge i of ``H.edge_ids`` is in_i = 2i and out_i = 2i+1, and the
     hub of H's vertex number x (``graph.number_ends``) is 2m + x.  Arcs, in
@@ -102,12 +101,7 @@ def _template(H: Multigraph) -> tuple:
         out[a] += (j + 1, j + 2)
         out[b] += (j + 5, j + 6)
     index = {eid: i for i, eid in enumerate(H.edge_ids)}
-    return weakref.ref(H, lambda _: _slot.clear()), out, head, index
-
-
-# The last call's network, under the key "net".  It serves every later call
-# on the same H, because a Multigraph never changes and no call writes to it.
-_slot: dict[str, tuple] = {}
+    return out, head, index
 
 
 def _max_flow(
@@ -204,6 +198,7 @@ def disjoint_paths_or_separator(
     U: Iterable[EdgeId],
     T: Iterable[EdgeId],
     k: int,
+    net: tuple | None = None,
 ) -> Union[PathSystem, Separator]:
     """Find k vertex-disjoint U,T-paths in L(H) or a minimum U,T-separator.
 
@@ -213,7 +208,8 @@ def disjoint_paths_or_separator(
     T-edge, so it meets T exactly once.  On failure the returned separator
     has minimum cardinality (hence fewer than k edges) and every U,T-path
     of L(H) meets it; its paths are the flow's, one per separator edge,
-    each truncated at its first separator edge.
+    each truncated at its first separator edge.  ``net`` must be
+    ``network(H)``; it is built when None.
     """
     us = frozenset(U)
     ts = frozenset(T)
@@ -225,12 +221,7 @@ def disjoint_paths_or_separator(
 
     eids = H.edge_ids
     m = len(eids)
-    net = _slot.get("net")
-    if net is None or net[0]() is not H:
-        net = None  # drop the old network before building the new one
-        _slot.clear()
-        net = _slot["net"] = _template(H)
-    _, out, head, index = net
+    out, head, index = net or network(H)
     starts = [2 * index[u] for u in sorted(us)]
     ends = {2 * index[t] + 1 for t in ts}
     cap = [1, 0] * m + [_INF, 0] * (4 * m)

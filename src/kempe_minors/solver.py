@@ -15,12 +15,13 @@ star side, recurses, and lifts the answer back along the flow's own paths,
 one from the star to each separator edge.  Parallel edges and the
 complete-graph endgame have dedicated direct constructions.
 
-The instance checks (matching partition, Kempe property) run once per
-(H, partition) object pair: ``solve`` remembers the last pair that passed
-them.  T and the output are checked on every call.  Every recursion level
-re-checks the structural facts it relies on and the final system is
-verified before it is returned; a failure surfaces as
-InternalAssertionError, never as a silent wrong answer.
+``solve`` keeps one memo: the last (H, partition) object pair that passed
+the instance checks (matching partition, Kempe property), and H's flow
+network once the top level has run the flow on H.  A call on the same pair
+skips both checks and reuses the network.  T and the output are checked on
+every call.  Every recursion level re-checks the structural facts it relies
+on and the final system is verified before it is returned; a failure
+surfaces as InternalAssertionError, never as a silent wrong answer.
 """
 
 from __future__ import annotations
@@ -47,7 +48,7 @@ from .graph import (
     number_ends,
     union_find,
 )
-from .paths import PathSystem, disjoint_paths_or_separator
+from .paths import PathSystem, disjoint_paths_or_separator, network
 
 
 @dataclass(frozen=True)
@@ -238,7 +239,7 @@ def _solve_with_parallel(
         (g,) = classes[i]
         trace.append(TraceStep("parallel", {"case": "peel-singleton", "edge": g}))
         rest = [c for j, c in enumerate(classes) if j != i]
-        sub = _solve_rec(H.without_edges({g}), rest, ts - {g}, trace)
+        sub = _solve_rec(H.without_edges({g}), rest, ts - {g}, trace, None)
         return sub + [frozenset({g})]
 
     two = [i for i in others if len(classes[i]) == 2]
@@ -426,12 +427,13 @@ def _complete_bags(H: Multigraph, ts: frozenset[EdgeId]) -> list[frozenset[EdgeI
 # main recursion
 
 
-# The last (H, partition) pair that passed the matching-partition and Kempe
-# checks.  Both types are immutable after construction (Multigraph by its
-# contract in graph.py, MatchingPartition as a frozen dataclass of
-# frozensets), so the pair still passes when it comes back.  The references
-# are weak: the memo keeps no instance alive, and a dead one never matches.
-_validated: tuple[weakref.ref, weakref.ref] | None = None
+# [H, partition, H's network or None] for the last pair that passed the
+# partition and Kempe checks; both are immutable, so the pair still passes
+# when it comes back.  H and the partition are held by weak reference: the
+# memo keeps no instance alive, a dead one never matches, and its network
+# stays until another pair passes.  Two threads on one pair may both build
+# and store the network; the builds are equal and no call writes to them.
+_checked: list | None = None
 
 
 def _reject_unless(name: str, verdict: Verdict) -> None:
@@ -449,22 +451,22 @@ def solve(
     Parallel edges and the complete endgame are branches of the same
     recursion.  The partition and the Kempe property are checked once per
     (H, part) object pair: a call with the same two objects as the last
-    pair that passed them skips both checks.  T and the output are checked
-    on every call.  A failed input check raises InvalidInputError, a failed
-    output check InternalAssertionError.
+    pair that passed them skips both checks and reuses H's flow network.
+    T and the output are checked on every call.  A failed input check
+    raises InvalidInputError, a failed output check InternalAssertionError.
     """
-    global _validated
+    global _checked
     ts = frozenset(T)
-    last = _validated
-    if last is None or last[0]() is not H or last[1]() is not part:
+    memo = _checked
+    if memo is None or memo[0]() is not H or memo[1]() is not part:
         # in order, stopping at the first failure: the Kempe check needs
         # known edges
         _reject_unless("matching partition", verify_matching_partition(H, part))
         _reject_unless("kempe", verify_kempe(H, part))
-        _validated = (weakref.ref(H), weakref.ref(part))
+        memo = _checked = [weakref.ref(H), weakref.ref(part), None]
     _reject_unless("transversal", verify_transversal(part, ts))
     trace: list[TraceStep] = []
-    bags = _solve_rec(H, list(part.classes), ts, trace)
+    bags = _solve_rec(H, list(part.classes), ts, trace, memo)
     system = BagSystem(tuple(bags))
     verdict = verify_solution(H, part, ts, system)
     _require(bool(verdict), "output fails verification: " + "; ".join(verdict.violations))
@@ -476,7 +478,9 @@ def _solve_rec(
     classes: list[frozenset[EdgeId]],
     ts: frozenset[EdgeId],
     trace: list[TraceStep],
+    memo: list | None,
 ) -> list[frozenset[EdgeId]]:
+    # memo is solve's entry for H at the top level, None where H is new
     k = len(classes)
     if k <= 2:
         trace.append(TraceStep("base", {"k": k}))
@@ -489,7 +493,7 @@ def _solve_rec(
     # k >= 3, so a vertex of degree k is covered
     pivot = H.least_vertex_of_degree(k)
     if pivot is not None:
-        return _solve_menger(H, classes, ts, pivot, trace)
+        return _solve_menger(H, classes, ts, pivot, trace, memo)
 
     assert_complete_fallback(H, k)
     trace.append(TraceStep("complete", {"k": k, "max_deg": k - 1}))
@@ -502,10 +506,14 @@ def _solve_menger(
     ts: frozenset[EdgeId],
     v: VertexId,
     trace: list[TraceStep],
+    memo: list | None,
 ) -> list[frozenset[EdgeId]]:
     k = len(classes)
     U = frozenset(H.edges_at(v))
-    result = disjoint_paths_or_separator(H, U, ts, k)
+    if memo is not None and memo[2] is None:
+        memo[2] = network(H)
+    net = memo[2] if memo is not None else None
+    result = disjoint_paths_or_separator(H, U, ts, k, net)
 
     if isinstance(result, PathSystem):
         trace.append(TraceStep("menger", {"vertex": v, "star": U, "paths": result.paths}))
@@ -576,7 +584,7 @@ def _solve_menger(
         )
     )
 
-    sub = _solve_rec(H_far, sub_classes, ts, trace)
+    sub = _solve_rec(H_far, sub_classes, ts, trace, None)
 
     lifted: list[frozenset[EdgeId]] = []
     for bag in sub:

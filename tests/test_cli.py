@@ -1,8 +1,11 @@
 """The command-line interface, driven mostly in process via main()."""
 
 import json
+import re
+import shlex
 import shutil
 import subprocess
+from pathlib import Path
 
 import pytest
 
@@ -349,6 +352,30 @@ class TestCorpusRun:
         d = tmp_path / "empty"
         d.mkdir()
         assert main(["corpus", "run", "--dir", str(d)]) == EXIT_USAGE
+
+
+class TestReadmeWalkThrough:
+    @staticmethod
+    def block(readme, section, lang):
+        """The first fenced ``lang`` block under the ``## section`` heading."""
+        text = readme.split(f"\n## {section}\n", 1)[1]
+        return re.search(rf"```{lang}\n(.*?)```", text, re.S).group(1)
+
+    def test_every_command_runs(self, tmp_path, monkeypatch, capsys):
+        readme = (Path(__file__).parents[1] / "README.md").read_text()
+        (tmp_path / "inst.json").write_text(self.block(readme, "Instance format", "json"))
+        commands = [
+            shlex.split(line)
+            for line in self.block(readme, "CLI", "sh").splitlines()
+            if line.startswith("kempe-minors ")
+        ]
+        assert len(commands) == 10
+        monkeypatch.chdir(tmp_path)
+        for argv in commands:
+            assert main(argv[1:]) == EXIT_OK, (argv, capsys.readouterr())
+        for name in ("c7", "k4", "sp", "del", "sol"):
+            assert (tmp_path / f"{name}.json").is_file()
+        assert (tmp_path / "L.dot").is_file()
 
 
 class TestEntryPoint:

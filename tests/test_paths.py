@@ -1,9 +1,7 @@
 """Disjoint path systems and minimum separators."""
 
-import gc
 import sys
 import threading
-import weakref
 from itertools import combinations
 from unittest import mock
 
@@ -21,6 +19,7 @@ from kempe_minors.paths import (
     _max_flow,
     _peel,
     disjoint_paths_or_separator,
+    network,
 )
 from linegraph import line_graph
 
@@ -275,8 +274,8 @@ def with_source_and_sink(out, head, cap, starts, ends):
 
 
 def augmented_networks(calls):
-    """Run each (H, U, T, k) call; return, per call, a copy of what it handed
-    to the augmentation and that network's ``out`` list itself."""
+    """Run each (H, U, T, k, net) call; return, per call, a copy of what it
+    handed to the augmentation and that network's ``out`` list itself."""
     seen = []
 
     def recording(out, head, cap, starts, ends, k):
@@ -288,18 +287,6 @@ def augmented_networks(calls):
         for call in calls:
             disjoint_paths_or_separator(*call)
     return seen
-
-
-def stored_network_is_fresh(H):
-    """The slot holds exactly what a fresh build for H gives."""
-    ref, *net = paths._slot["net"]
-    return ref() is H and net == list(paths._template(H)[1:])
-
-
-def fresh(H, U, T, k):
-    """The call's result with no network to reuse."""
-    paths._slot.clear()
-    return disjoint_paths_or_separator(H, U, T, k)
 
 
 def rescan_peel(out, head, cap, origins, ends):
@@ -337,14 +324,15 @@ class TestIncidenceNetwork:
     @given(graphs_with_isolated_vertices(), st.data())
     def test_bulk_build_matches_arc_by_arc(self, H, data):
         # the arc ids and every node's arc order fix the flow's search
-        # order, hence its paths, separators and the solver's bags; the
-        # second call, with its own U and T, reuses the first one's network
-        # and finds it as the first call left it
+        # order, hence its paths, separators and the solver's bags; both
+        # calls, each with its own U and T, get one network built for H
+        # and the second finds it as the first call left it
         u1, t1, _ = draw_call(H, data, 1)
         u2, t2, _ = draw_call(H, data, 1)
-        seen = augmented_networks([(H, u1, t1, 1), (H, u2, t2, 1)])
-        (*_, miss), (*_, hit) = seen
-        assert hit is miss
+        net = network(H)
+        seen = augmented_networks([(H, u1, t1, 1, net), (H, u2, t2, 1, net)])
+        (*_, first), (*_, second) = seen
+        assert first is second is net[0]
         ref_out, ref_head, ref_cap = arc_by_arc_network(H)
         for (out, head, cap, starts, ends, _), us, ts in zip(seen, (u1, u2), (t1, t2)):
             assert (starts, ends) == terminals(H, us, ts)
@@ -353,7 +341,7 @@ class TestIncidenceNetwork:
             assert len(out) == len(ref_out)
             for x, (got, want) in enumerate(zip(out, ref_out)):
                 assert got == want, x
-        assert stored_network_is_fresh(H)
+        assert net == network(H)
 
     @settings(max_examples=100, deadline=None)
     @given(graphs_with_isolated_vertices(), st.data())
@@ -422,8 +410,8 @@ class TestIncidenceNetwork:
 
 
 class TestNetworkTemplate:
-    """The network is kept for the next call on the same H, no call writes
-    to it, and it never changes what a call returns."""
+    """One network, built by the caller for H and passed to every call on
+    H, is never written to and never changes what a call returns."""
 
     @settings(max_examples=60, deadline=None)
     @given(
@@ -432,34 +420,26 @@ class TestNetworkTemplate:
     )
     def test_interleaved_calls_return_what_fresh_calls_return(self, graphs, data):
         # calls alternate between graphs and between stars on one graph
+        nets = [network(H) for H in graphs]
         calls = []
         for _ in range(6):
-            H = data.draw(st.sampled_from(graphs))
-            eids = sorted(H.edge_ids)
+            i = data.draw(st.sampled_from(range(len(graphs))))
+            eids = sorted(graphs[i].edge_ids)
             U = data.draw(st.sets(st.sampled_from(eids), min_size=1, max_size=3))
             T = data.draw(st.sets(st.sampled_from(eids), min_size=1, max_size=3))
-            calls.append((H, U, T, data.draw(st.integers(min_value=1, max_value=3))))
-        want = [fresh(*call) for call in calls]
-        paths._slot.clear()
-        for call, expected in zip(calls, want):
-            assert disjoint_paths_or_separator(*call) == expected
-            assert stored_network_is_fresh(call[0])
-
-    def test_slot_empties_when_the_graph_is_collected(self):
-        H = grid_2x3()
-        disjoint_paths_or_separator(H, {"a01"}, {"b12"}, 1)
-        assert paths._slot["net"][0]() is H
-        graph_ref = weakref.ref(H)
-        del H
-        gc.collect()
-        assert graph_ref() is None
-        assert paths._slot == {}
+            calls.append((i, U, T, data.draw(st.integers(min_value=1, max_value=3))))
+        for i, U, T, k in calls:
+            H = graphs[i]
+            want = disjoint_paths_or_separator(H, U, T, k)
+            assert disjoint_paths_or_separator(H, U, T, k, nets[i]) == want
+            assert nets[i] == network(H)
 
     def test_a_call_that_raises_leaves_the_network_intact(self):
         # the failing call raises after augmenting one unit
         H = grid_2x3()
+        net = network(H)
         U, T = {"a01", "r0"}, {"b12", "r2"}
-        want = fresh(H, U, T, 2)
+        want = disjoint_paths_or_separator(H, U, T, 2)
 
         def failing(out, head, cap, starts, ends, k):
             _max_flow(out, head, cap, starts, ends, 1)
@@ -467,48 +447,54 @@ class TestNetworkTemplate:
 
         with mock.patch.object(paths, "_max_flow", failing):
             with pytest.raises(RuntimeError):
-                disjoint_paths_or_separator(H, U, T, 2)
-        assert stored_network_is_fresh(H)
-        assert disjoint_paths_or_separator(H, U, T, 2) == want
+                disjoint_paths_or_separator(H, U, T, 2, net)
+        assert net == network(H)
+        assert disjoint_paths_or_separator(H, U, T, 2, net) == want
 
     def test_a_call_during_another_shares_the_network(self):
         # a call made between the outer call's augmentation and its peel
-        # (as from another thread) uses the same network, with another star
+        # (as from another thread) gets the same network, with another star
         H = grid_2x3()
+        net = network(H)
         outer, inner = ({"a01", "r0"}, {"b12", "r2"}, 2), ({"a12"}, {"b01"}, 1)
-        want = [fresh(H, *inner), fresh(H, *outer)]
+        want = [
+            disjoint_paths_or_separator(H, *inner),
+            disjoint_paths_or_separator(H, *outer),
+        ]
         augmented, got = [], []
 
         def nested(*args):
             augmented.append(args[0])
             result = _max_flow(*args)
             if len(augmented) == 1:  # only the outer call nests
-                got.append(disjoint_paths_or_separator(H, *inner))
+                got.append(disjoint_paths_or_separator(H, *inner, net))
             return result
 
-        disjoint_paths_or_separator(H, *outer)
         with mock.patch.object(paths, "_max_flow", nested):
-            got.append(disjoint_paths_or_separator(H, *outer))
+            got.append(disjoint_paths_or_separator(H, *outer, net))
         assert got == want
-        assert augmented[0] is augmented[1]
-        assert stored_network_is_fresh(H)
+        assert augmented[0] is augmented[1] is net[0]
+        assert net == network(H)
 
     def test_threads_get_what_fresh_calls_return(self):
         # more threads than cores, switching as often as the interpreter
-        # allows, over two graphs and two stars on one of them
+        # allows, over two graphs and two stars on one of them, each graph
+        # with one network that every thread shares
         graphs = [grid_2x3(), grid_2x3()]
+        nets = [network(H) for H in graphs]
         jobs = [
-            (graphs[0], {"a01", "r0"}, {"b12", "r2"}, 2),
-            (graphs[1], {"a01", "r0"}, {"b12", "r2"}, 2),
-            (graphs[0], {"a12"}, {"b01"}, 1),
+            (0, {"a01", "r0"}, {"b12", "r2"}, 2),
+            (1, {"a01", "r0"}, {"b12", "r2"}, 2),
+            (0, {"a12"}, {"b01"}, 1),
         ]
-        want = [fresh(*job) for job in jobs]
+        want = [disjoint_paths_or_separator(graphs[i], *job) for i, *job in jobs]
         failures = []
 
         def worker(offset):
-            for i in range(300):
-                n = (i + offset) % len(jobs)
-                if disjoint_paths_or_separator(*jobs[n]) != want[n]:
+            for step in range(300):
+                n = (step + offset) % len(jobs)
+                i, *job = jobs[n]
+                if disjoint_paths_or_separator(graphs[i], *job, nets[i]) != want[n]:
                     failures.append(n)
 
         interval = sys.getswitchinterval()
@@ -523,3 +509,4 @@ class TestNetworkTemplate:
             sys.setswitchinterval(interval)
         assert not any(thread.is_alive() for thread in threads)
         assert failures == []
+        assert nets == [network(H) for H in graphs]

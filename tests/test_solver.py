@@ -13,7 +13,7 @@ from itertools import combinations
 import pytest
 from hypothesis import given, settings
 
-from kempe_minors import solver
+from kempe_minors import paths, solver
 from kempe_minors.coloring import (
     MatchingPartition,
     verify_kempe,
@@ -32,7 +32,7 @@ from kempe_minors.generators import (
     splice,
 )
 from kempe_minors.graph import Multigraph, contract, edge, edge_components
-from kempe_minors.paths import Separator
+from kempe_minors.paths import Separator, network
 from kempe_minors.solver import (
     BagSystem,
     assert_complete_fallback,
@@ -43,7 +43,7 @@ from kempe_minors.solver import (
 from completegraph import complete_graph
 from referencecomplete import reference_complete_fallback
 from splicechain import last_block_transversals, splice_chain
-from test_verify import multigraph_systems
+from test_verify import multigraph_systems, valid_by_definition
 
 
 def bags_as_sets(system):
@@ -479,6 +479,19 @@ class TestCompleteEndgame:
             part = MatchingPartition.of([{t} for t in sorted(T)])
             assert verify_solution(H, part, T, bags)
 
+    @pytest.mark.parametrize("n, count", [(5, 252), (6, 5005)])
+    def test_solve_complete_exhaustive_against_the_definition(self, n, count):
+        # every set of n edges of K_n, not only matchings; each result is
+        # checked on the line graph, by a checker sharing nothing with
+        # verify_solution
+        H = complete_graph(n)
+        sets = list(combinations(H.edge_ids, n))
+        assert len(sets) == count
+        for T in sets:
+            bags = solve_complete(H, T)
+            part = MatchingPartition.of([{t} for t in sorted(T)])
+            assert valid_by_definition(H, part, T, bags), sorted(T)
+
     def test_solve_complete_input_validation(self):
         with pytest.raises(InvalidInputError):
             solve_complete(complete_graph(2), {"e0-1"})
@@ -591,7 +604,9 @@ class TestSeparatorBranch:
         S = frozenset(min(part.classes[i] - T) for i in (0, 1))
         assert len(edge_components(H, set(H.edge_ids) - S)) == 1
         monkeypatch.setattr(
-            solver, "disjoint_paths_or_separator", lambda H, U, T, k: Separator(S, ())
+            solver,
+            "disjoint_paths_or_separator",
+            lambda H, U, T, k, net: Separator(S, ()),
         )
         with pytest.raises(InternalAssertionError, match="1 edge sides"):
             solve(H, part, T)
@@ -639,8 +654,8 @@ class TestSeparatorBranch:
         far = min(T)
         flow = solver.disjoint_paths_or_separator
 
-        def corrupted(H, U, T, k):
-            result = flow(H, U, T, k)
+        def corrupted(H, U, T, k, net):
+            result = flow(H, U, T, k, net)
             if isinstance(result, Separator):
                 p0, p1 = result.paths
                 assert len(p0) == len(p1) == 2 and far not in result.nodes
@@ -680,9 +695,24 @@ class TestInputValidation:
             solve(H, part, {"ab", "cd"})
 
 
+def count_network_builds(monkeypatch):
+    """Count every build of a flow network, by the solver's top level or
+    by the flow itself; returns the running count as a one-item list."""
+    builds = [0]
+
+    def counted(H):
+        builds[0] += 1
+        return network(H)
+
+    monkeypatch.setattr(solver, "network", counted)
+    monkeypatch.setattr(paths, "network", counted)
+    return builds
+
+
 class TestValidationMemo:
     """solve checks the partition and the Kempe property once per
-    (H, partition) object pair, and T on every call."""
+    (H, partition) object pair, and T on every call; the top level builds
+    the pair's flow network once, sub-levels build their own."""
 
     @staticmethod
     def four_cycle():
@@ -711,13 +741,31 @@ class TestValidationMemo:
                 return _check(*args)
 
             monkeypatch.setattr(solver, name, counted)
+        builds = count_network_builds(monkeypatch)
         H, part = gen_circulant(7, (0, 1, 2, 3))
         transversals = sample_transversals(part, 50, seed=0)
         assert len(transversals) == 50
         for T in transversals:
-            bags, _ = solve(H, part, T)
+            bags, trace = solve(H, part, T)
             assert verify_solution(H, part, T, bags)
+            assert trace.kinds() == ("menger",)
         assert calls == {"verify_kempe": 1, "verify_matching_partition": 1}
+        assert builds == [1]
+
+    def test_sub_levels_build_their_own_network(self, monkeypatch):
+        # a separator step contracts H, so its sub-level flow runs on a new
+        # graph and builds that graph's network; the top level's stays kept
+        builds = count_network_builds(monkeypatch)
+        a, b = gen_circulant(5, (0, 1, 2)), gen_circulant(7, (0, 1, 2))
+        spliced = splice(a, a[0].vertices[0], b, b[0].vertices[0])
+        H, part = delete_vertex(*spliced, spliced[0].edge("f0").ends[0])
+        steps = 0
+        for T in sample_transversals(part, 50, seed=0):
+            bags, trace = solve(H, part, T)
+            assert verify_solution(H, part, T, bags)
+            steps += trace.kinds().count("separator")
+        assert steps == 16
+        assert builds == [1 + steps]
 
     def test_invalid_instance_raises_the_same_error_every_call(self):
         H, _, part = self.four_cycle()
@@ -744,8 +792,11 @@ class TestValidationMemo:
             solve(H, non_kempe, {"ab", "cd", "bc"})
 
     def test_memo_keeps_no_instance_alive(self):
+        # a menger solve, so the memo also keeps H's network
         H, part = k4_seed()
-        solve(H, part, {"e01", "e02", "e03"})
+        _, trace = solve(H, part, {"e01", "e02", "e03"})
+        assert trace.kinds() == ("menger",)
+        assert solver._checked[2] == network(H)
         graph_ref, part_ref = weakref.ref(H), weakref.ref(part)
         del H, part
         gc.collect()
@@ -753,24 +804,29 @@ class TestValidationMemo:
         assert part_ref() is None
 
     def test_threads_never_skip_checks_for_a_mixed_pair(self):
-        # Two valid instances and the cross pair (C_4, K_4's partition),
+        # Three valid instances and the cross pair (C_4, K_4's partition),
         # whose partition names edges C_4 lacks.  A memo read torn between
-        # two stored pairs could pass the cross pair unchecked.
+        # two stored pairs could pass the cross pair unchecked, or hand one
+        # instance another's network.  The thin cut runs a separator step.
         c4, c4_part, _ = self.four_cycle()
         k4, k4_part = k4_seed()
+        cut, cut_part, cut_T = TestSeparatorBranch.thin_cut_instance()
         jobs = [
             (c4, c4_part, {"ab", "bc"}, True),
             (k4, k4_part, {"e01", "e02", "e03"}, True),
             (c4, k4_part, {"e01", "e02", "e03"}, False),
+            (cut, cut_part, cut_T, True),
         ]
+        want = [solve(H, part, T)[0] if valid else None for H, part, T, valid in jobs]
         results = []  # one per call: True when it ended as it should
 
         def worker(offset):
             for i in range(1000):
-                H, part, T, valid = jobs[(i + offset) % len(jobs)]
+                n = (i + offset) % len(jobs)
+                H, part, T, valid = jobs[n]
                 try:
                     bags, _ = solve(H, part, T)
-                    results.append(valid and bool(verify_solution(H, part, T, bags)))
+                    results.append(valid and bags == want[n])
                 except InvalidInputError as exc:
                     results.append(
                         not valid and str(exc).startswith("matching partition")
