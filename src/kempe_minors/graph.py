@@ -69,10 +69,10 @@ class Multigraph:
     the parallel pair and the least vertex of each degree.
 
     Instances support weak references.  Their immutability, vertex numbers
-    included, is load-bearing: ``solver.solve``'s one memo, keyed on object
-    identity, keeps the last (graph, partition) pair that passed the
-    instance checks together with the graph's flow network.  No slot is
-    written after construction.
+    included, is load-bearing: ``solver.solve``'s one memo, keyed weakly on
+    the graph object, keeps the partition that last passed the instance
+    checks together with the graph's flow network, and drops both with the
+    graph.  No slot is written after construction.
     """
 
     __slots__ = (

@@ -58,24 +58,27 @@ def parse_instance(text: str) -> ParsedInstance:
     vertices = _expect_ids(doc["vertices"], "vertices", "vertex id")
     if not isinstance(doc["edges"], list):
         raise SchemaViolationError("edges", "expected a list")
-    records: list[EdgeRecord] = []
+    known = set(vertices)
+    records: dict[str, EdgeRecord] = {}
     for i, item in enumerate(doc["edges"]):
         path = f"edges[{i}]"
         if not isinstance(item, dict) or "id" not in item or "ends" not in item:
             raise SchemaViolationError(path, "expected an object with id and ends")
-        if not isinstance(item["id"], str):
+        eid = item["id"]
+        if not isinstance(eid, str):
             raise SchemaViolationError(f"{path}.id", "expected a string")
+        if eid in records:
+            raise SchemaViolationError(f"{path}.id", f"duplicate edge id {eid!r}")
         ends = _expect_list_of_str(item["ends"], f"{path}.ends")
         if len(ends) != 2:
             raise SchemaViolationError(f"{path}.ends", "expected exactly two endpoints")
+        if not known.issuperset(ends):  # report the first unknown end
+            _expect_ids(ends, f"{path}.ends", "vertex id", known)
         try:
-            records.append(EdgeRecord(item["id"], (ends[0], ends[1])))
+            records[eid] = EdgeRecord(eid, (ends[0], ends[1]))
         except KempeMinorError as exc:
             raise SchemaViolationError(path, str(exc)) from None
-    try:
-        H = Multigraph(vertices, records)
-    except KempeMinorError as exc:
-        raise SchemaViolationError("edges", str(exc)) from None
+    H = Multigraph(vertices, records.values())
     if not isinstance(doc["classes"], list):
         raise SchemaViolationError("classes", "expected a list")
     part = MatchingPartition.of(

@@ -15,13 +15,13 @@ star side, recurses, and lifts the answer back along the flow's own paths,
 one from the star to each separator edge.  Parallel edges and the
 complete-graph endgame have dedicated direct constructions.
 
-``solve`` keeps one memo: the last (H, partition) object pair that passed
-the instance checks (matching partition, Kempe property), and H's flow
-network once the top level has run the flow on H.  A call on the same pair
-skips both checks and reuses the network.  T and the output are checked on
-every call.  Every recursion level re-checks the structural facts it relies
-on and the final system is verified before it is returned; a failure
-surfaces as InternalAssertionError, never as a silent wrong answer.
+``solve`` keeps one memo, keyed on H and gone with it: the last partition
+of H that passed the instance checks (matching partition, Kempe property)
+and H's network once a flow has run on H.  A call on the same (H, partition)
+objects skips both checks and reuses the network.  T and the output are
+checked on every call.  Every recursion level re-checks the structural
+facts it relies on and the final system is verified before it is returned;
+a failure surfaces as InternalAssertionError, never as a silent wrong answer.
 """
 
 from __future__ import annotations
@@ -239,7 +239,7 @@ def _solve_with_parallel(
         (g,) = classes[i]
         trace.append(TraceStep("parallel", {"case": "peel-singleton", "edge": g}))
         rest = [c for j, c in enumerate(classes) if j != i]
-        sub = _solve_rec(H.without_edges({g}), rest, ts - {g}, trace, None)
+        sub = _solve_rec(H.without_edges({g}), rest, ts - {g}, trace)
         return sub + [frozenset({g})]
 
     two = [i for i in others if len(classes[i]) == 2]
@@ -427,13 +427,13 @@ def _complete_bags(H: Multigraph, ts: frozenset[EdgeId]) -> list[frozenset[EdgeI
 # main recursion
 
 
-# [H, partition, H's network or None] for the last pair that passed the
-# partition and Kempe checks; both are immutable, so the pair still passes
-# when it comes back.  H and the partition are held by weak reference: the
-# memo keeps no instance alive, a dead one never matches, and its network
-# stays until another pair passes.  Two threads on one pair may both build
-# and store the network; the builds are equal and no call writes to them.
-_checked: list | None = None
+# H -> [partition, H's network or None] for the last graph whose partition
+# passed the partition and Kempe checks; both are immutable, so the pair
+# still passes when it comes back.  H is held weakly, the partition by H's
+# entry, and a miss clears the memo: it keeps one entry and no instance
+# alive.  Threads that miss together may leave two entries until the next
+# miss, or build one network twice; the network depends on H alone.
+_checked: weakref.WeakKeyDictionary[Multigraph, list] = weakref.WeakKeyDictionary()
 
 
 def _reject_unless(name: str, verdict: Verdict) -> None:
@@ -455,18 +455,17 @@ def solve(
     T and the output are checked on every call.  A failed input check
     raises InvalidInputError, a failed output check InternalAssertionError.
     """
-    global _checked
     ts = frozenset(T)
-    memo = _checked
-    if memo is None or memo[0]() is not H or memo[1]() is not part:
+    if _checked.get(H, [None])[0] is not part:
         # in order, stopping at the first failure: the Kempe check needs
         # known edges
         _reject_unless("matching partition", verify_matching_partition(H, part))
         _reject_unless("kempe", verify_kempe(H, part))
-        memo = _checked = [weakref.ref(H), weakref.ref(part), None]
+        _checked.clear()
+        _checked[H] = [part, None]
     _reject_unless("transversal", verify_transversal(part, ts))
     trace: list[TraceStep] = []
-    bags = _solve_rec(H, list(part.classes), ts, trace, memo)
+    bags = _solve_rec(H, list(part.classes), ts, trace)
     system = BagSystem(tuple(bags))
     verdict = verify_solution(H, part, ts, system)
     _require(bool(verdict), "output fails verification: " + "; ".join(verdict.violations))
@@ -478,9 +477,7 @@ def _solve_rec(
     classes: list[frozenset[EdgeId]],
     ts: frozenset[EdgeId],
     trace: list[TraceStep],
-    memo: list | None,
 ) -> list[frozenset[EdgeId]]:
-    # memo is solve's entry for H at the top level, None where H is new
     k = len(classes)
     if k <= 2:
         trace.append(TraceStep("base", {"k": k}))
@@ -493,7 +490,7 @@ def _solve_rec(
     # k >= 3, so a vertex of degree k is covered
     pivot = H.least_vertex_of_degree(k)
     if pivot is not None:
-        return _solve_menger(H, classes, ts, pivot, trace, memo)
+        return _solve_menger(H, classes, ts, pivot, trace)
 
     assert_complete_fallback(H, k)
     trace.append(TraceStep("complete", {"k": k, "max_deg": k - 1}))
@@ -506,14 +503,13 @@ def _solve_menger(
     ts: frozenset[EdgeId],
     v: VertexId,
     trace: list[TraceStep],
-    memo: list | None,
 ) -> list[frozenset[EdgeId]]:
     k = len(classes)
     U = frozenset(H.edges_at(v))
-    if memo is not None and memo[2] is None:
-        memo[2] = network(H)
-    net = memo[2] if memo is not None else None
-    result = disjoint_paths_or_separator(H, U, ts, k, net)
+    entry = _checked.get(H, [None, None])  # or a throwaway entry
+    if entry[1] is None:
+        entry[1] = network(H)
+    result = disjoint_paths_or_separator(H, U, ts, k, entry[1])
 
     if isinstance(result, PathSystem):
         trace.append(TraceStep("menger", {"vertex": v, "star": U, "paths": result.paths}))
@@ -584,7 +580,7 @@ def _solve_menger(
         )
     )
 
-    sub = _solve_rec(H_far, sub_classes, ts, trace, None)
+    sub = _solve_rec(H_far, sub_classes, ts, trace)
 
     lifted: list[frozenset[EdgeId]] = []
     for bag in sub:

@@ -89,9 +89,8 @@ def separator_step(
     if contraction is not None:
         monkeypatch.setattr(solver, "contract", contraction)
     H = graph(*ids)
-    # no memo entry: the dumbbell's network is built by the flow itself
     bags = solver._solve_menger(
-        H, [frozenset(c) for c in classes], frozenset(ts), pivot, [], None
+        H, [frozenset(c) for c in classes], frozenset(ts), pivot, []
     )
     return H, bags
 

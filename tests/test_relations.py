@@ -14,7 +14,7 @@ import pytest
 from kempe_minors.coloring import MatchingPartition
 from kempe_minors.corpus import sample_transversals, standard_corpus
 from kempe_minors.graph import Multigraph, edge
-from kempe_minors.solver import solve
+from kempe_minors.solver import solve, verify_solution
 from test_census import DRAWS, census
 
 
@@ -52,6 +52,17 @@ def prefixed(H, prefix):
     )
 
 
+def reversed_names(names, prefix):
+    """Each name mapped to prefix + a zero-padded number, so that the
+    string order of the new names is the reverse of the old."""
+    names = sorted(names)
+    return {x: f"{prefix}{len(names) - 1 - i:06d}" for i, x in enumerate(names)}
+
+
+def separator_sets(trace):
+    return [s.details["separator"] for s in trace.steps if s.kind == "separator"]
+
+
 def test_inputs():
     # 10 transversals of each corpus instance, fewer where it has fewer
     assert len(instances()) > 70
@@ -87,3 +98,36 @@ def test_r3_reversed_class_order():
         for T, (bags, _) in zip(ts, want):
             got, _ = outcome(H, reversed_part, T)
             assert set(got) == set(bags), sorted(T)
+
+
+def test_r2_order_reversing_edge_renaming():
+    # paths follow arc order, so the bags may differ; the minimum cut read
+    # from the residual reach does not depend on the search order
+    separators = 0
+    for (H, part, ts), want in zip(instances(), grouped()):
+        new = reversed_names(H.edge_ids, "r")
+        old = {r: eid for eid, r in new.items()}
+        renamed = Multigraph(H.vertices, [edge(new[e.id], *e.ends) for e in H.edges()])
+        renamed_part = MatchingPartition.of({new[e] for e in c} for c in part.classes)
+        for T, (_, kinds) in zip(ts, want):
+            _, trace = solve(renamed, renamed_part, {new[e] for e in T})
+            assert trace.kinds() == kinds, sorted(T)
+            got = [{old[r] for r in S} for S in separator_sets(trace)]
+            assert got == separator_sets(solve(H, part, T)[1]), sorted(T)
+            separators += len(got)
+    assert separators == 168  # 56 of them on the corpus
+
+
+def test_r4_order_reversing_vertex_renaming():
+    # the pivot is the least vertex of degree k, so the trace kinds may
+    # change; validity is the only relation
+    for H, part, ts in instances():
+        new = reversed_names(H.vertices, "v")
+        renamed = Multigraph(
+            new.values(),
+            [edge(e.id, new[e.ends[0]], new[e.ends[1]]) for e in H.edges()],
+        )
+        for T in ts:
+            bags, _ = solve(renamed, part, T)
+            verdict = verify_solution(renamed, part, T, bags)
+            assert verdict, (sorted(T), verdict.violations)

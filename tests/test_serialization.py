@@ -78,7 +78,17 @@ class TestDiagnostics:
         )
         with pytest.raises(SchemaViolationError, match="'e'") as info:
             parse_instance(text)
-        assert info.value.path == "edges"
+        assert info.value.path == "edges[1].id"
+
+    def test_unknown_endpoint_is_a_schema_violation(self):
+        doc = {
+            "vertices": ["a", "b"],
+            "edges": [{"id": "e", "ends": ["a", "b"]}, {"id": "g", "ends": ["b", "q"]}],
+            "classes": [["e"], ["g"]],
+        }
+        with pytest.raises(SchemaViolationError) as info:
+            parse_instance(json.dumps(doc))
+        assert str(info.value) == "edges[1].ends[1]: unknown vertex id 'q'"
 
     def test_missing_field(self):
         with pytest.raises(SchemaViolationError) as info:

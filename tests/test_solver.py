@@ -7,6 +7,7 @@ import json
 import random
 import sys
 import threading
+import tracemalloc
 import weakref
 from itertools import combinations
 
@@ -792,16 +793,29 @@ class TestValidationMemo:
             solve(H, non_kempe, {"ab", "cd", "bc"})
 
     def test_memo_keeps_no_instance_alive(self):
-        # a menger solve, so the memo also keeps H's network
-        H, part = k4_seed()
-        _, trace = solve(H, part, {"e01", "e02", "e03"})
-        assert trace.kinds() == ("menger",)
-        assert solver._checked[2] == network(H)
-        graph_ref, part_ref = weakref.ref(H), weakref.ref(part)
-        del H, part
-        gc.collect()
+        # a menger solve, so the memo also keeps H's network; dropping H,
+        # the partition and the result must free all three, network included
+        tracemalloc.start()
+        try:
+            gc.collect()
+            start = tracemalloc.get_traced_memory()[0]
+            H, part = gen_circulant(53, tuple(range(9)))
+            (T,) = sample_transversals(part, 1, seed=0)
+            before = tracemalloc.get_traced_memory()[0]
+            net = network(H)
+            net_size = tracemalloc.get_traced_memory()[0] - before
+            del net
+            result = solve(H, part, T)
+            assert result[1].kinds() == ("menger",)
+            graph_ref, part_ref = weakref.ref(H), weakref.ref(part)
+            del H, part, T, result
+            gc.collect()
+            left = tracemalloc.get_traced_memory()[0] - start
+        finally:
+            tracemalloc.stop()
         assert graph_ref() is None
         assert part_ref() is None
+        assert left < net_size / 10, (left, net_size)
 
     def test_threads_never_skip_checks_for_a_mixed_pair(self):
         # Three valid instances and the cross pair (C_4, K_4's partition),
