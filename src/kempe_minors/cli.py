@@ -40,7 +40,7 @@ _NO_TRANSVERSAL = "instance has no transversal; add one or use `verify`"
 
 def _read(path, parse):
     """Parse a document file, which JSON requires to be UTF-8; a ParseError
-    names the file."""
+    or SchemaViolationError names the file."""
     data = Path(path).read_bytes()
     try:
         return parse(data.decode("utf-8"))
@@ -48,10 +48,8 @@ def _read(path, parse):
         raise ParseError(f"{path}: byte {exc.start}: not UTF-8 ({exc.reason})") from None
     except ParseError as exc:
         raise ParseError(f"{path}: {exc}") from None
-
-
-def _read_instance(path):
-    return _read(path, parse_instance)
+    except SchemaViolationError as exc:
+        raise SchemaViolationError(f"{path}: {exc.path}", exc.message) from None
 
 
 def _default_transversal(part):
@@ -77,7 +75,7 @@ def _positive(text: str) -> int:
 
 
 def _cmd_solve(args) -> int:
-    H, part, T = _read_instance(args.instance)
+    H, part, T = _read(args.instance, parse_instance)
     if T is None:
         print(_NO_TRANSVERSAL, file=sys.stderr)
         return EXIT_USAGE
@@ -90,7 +88,7 @@ def _cmd_solve(args) -> int:
 
 
 def _cmd_check(args) -> int:
-    H, part, T = _read_instance(args.instance)
+    H, part, T = _read(args.instance, parse_instance)
     if T is None:
         print(_NO_TRANSVERSAL, file=sys.stderr)
         return EXIT_USAGE
@@ -105,7 +103,7 @@ def _cmd_check(args) -> int:
 
 
 def _cmd_verify(args) -> int:
-    H, part, T = _read_instance(args.instance)
+    H, part, T = _read(args.instance, parse_instance)
     checks = [
         ("matching-partition", verify_matching_partition(H, part)),
         ("kempe", verify_kempe(H, part)),
@@ -122,7 +120,7 @@ def _cmd_verify(args) -> int:
 
 
 def _cmd_oracle(args) -> int:
-    H, part, T = _read_instance(args.instance)
+    H, part, T = _read(args.instance, parse_instance)
     if T is None:
         T = _default_transversal(part)
     budget = OracleBudget(max_edges=args.max_edges)
@@ -135,7 +133,7 @@ def _cmd_oracle(args) -> int:
 
 
 def _cmd_linegraph(args) -> int:
-    H, _part, _T = _read_instance(args.instance)
+    H, _part, _T = _read(args.instance, parse_instance)
     Path(args.output).write_text(line_graph_to_dot(H))
     print(f"wrote {args.output}")
     return EXIT_OK
@@ -145,11 +143,11 @@ def _cmd_generate(args) -> int:
     if args.generator == "circulant":
         H, part = gen_circulant(args.m, args.shifts)
     elif args.generator == "splice":
-        ha, pa, _ = _read_instance(args.a)
-        hb, pb, _ = _read_instance(args.b)
+        ha, pa, _ = _read(args.a, parse_instance)
+        hb, pb, _ = _read(args.b, parse_instance)
         H, part = splice((ha, pa), args.va, (hb, pb), args.vb)
     elif args.generator == "delete-vertex":
-        h, p, _ = _read_instance(args.instance)
+        h, p, _ = _read(args.instance, parse_instance)
         H, part = delete_vertex(h, p, args.vertex)
     else:
         H, part = k4_seed()
@@ -167,7 +165,7 @@ def _cmd_corpus_run(args) -> int:
     failures = 0
     for path in files:
         try:
-            H, part, T = _read_instance(path)
+            H, part, T = _read(path, parse_instance)
             ts = T if T is not None else _default_transversal(part)
             # solve validates the instance and verifies its own output
             bags, _trace = solve(H, part, ts)

@@ -40,10 +40,6 @@ class Verdict:
         return self.ok
 
 
-def _reject(*violations: str) -> Verdict:
-    return Verdict(False, violations)
-
-
 def verify_matching_partition(H: Multigraph, part: MatchingPartition) -> Verdict:
     """Accept iff the classes partition E(H) and each class is a matching."""
     violations: list[str] = []
@@ -51,11 +47,13 @@ def verify_matching_partition(H: Multigraph, part: MatchingPartition) -> Verdict
     for i, cls in enumerate(part.classes):
         if not cls:
             violations.append(f"class {i} is empty")
-        ordered = sorted(cls)
-        for eid in ordered:
+        known: list[EdgeId] = []  # the class's edges of H, in order
+        for eid in sorted(cls):
             if eid not in H:
                 violations.append(f"class {i}: unknown edge {eid!r}")
-            elif eid in seen:
+                continue
+            known.append(eid)
+            if eid in seen:
                 violations.append(
                     f"edge {eid!r} occurs in classes {seen[eid]} and {i}"
                 )
@@ -63,9 +61,7 @@ def verify_matching_partition(H: Multigraph, part: MatchingPartition) -> Verdict
                 seen[eid] = i
         # matching: no two class edges share an endpoint
         at: dict[VertexId, EdgeId] = {}
-        for eid in ordered:
-            if eid not in H:
-                continue
+        for eid in known:
             for v in H.edge(eid).ends:
                 if v in at:
                     violations.append(
@@ -97,7 +93,7 @@ def verify_kempe(H: Multigraph, part: MatchingPartition) -> Verdict:
     for i, j in combinations(range(part.k), 2):
         joins, _ = union_find(n, ends[i] + ends[j])
         if joins != len(covers[i] | covers[j]) - 1:
-            return _reject(f"union of classes {i} and {j} is not connected")
+            return Verdict(False, (f"union of classes {i} and {j} is not connected",))
     return Verdict(True)
 
 

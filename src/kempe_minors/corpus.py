@@ -6,6 +6,7 @@ splices of every same-order pair, and a vertex deletion of each of those.
 
 from __future__ import annotations
 
+import math
 import random
 from itertools import combinations, product
 from typing import Iterator
@@ -51,18 +52,11 @@ def all_transversals(part: MatchingPartition) -> Iterator[frozenset]:
         yield frozenset(combo)
 
 
-def transversal_count(part: MatchingPartition) -> int:
-    n = 1
-    for cls in part.classes:
-        n *= len(cls)
-    return n
-
-
 def sample_transversals(
     part: MatchingPartition, count: int, seed: int = 0
 ) -> list[frozenset]:
     """Up to ``count`` uniformly random transversals, or all when fewer exist."""
-    if transversal_count(part) <= count:
+    if math.prod(map(len, part.classes)) <= count:
         return list(all_transversals(part))
     rng = random.Random(seed)
     out = []

@@ -88,3 +88,4 @@ class SchemaViolationError(KempeMinorError):
     def __init__(self, path: str, message: str):
         super().__init__(f"{path}: {message}")
         self.path = path
+        self.message = message

@@ -1,7 +1,8 @@
 """Exhaustive brute-force finder for rooted bag systems on small instances.
 
-Independent ground truth for the solver: it shares nothing with the
-constructive pipeline except the graph type.  Every edge outside the
+Independent ground truth for the solver: it shares the graph module and
+the ``BagSystem`` result type with it, but nothing of the construction
+(no flow, contraction, case analysis or endgame).  Every edge outside the
 prescribed set is assigned to one of the bags or left unused; prescribed
 edges are pinned to distinct bags up front, which is a valid canonical form
 because each bag must hold exactly one of them.

@@ -123,20 +123,10 @@ def emit_solution(bags: BagSystem, trace: Optional[ReductionTrace] = None) -> st
     doc: dict[str, Any] = {"bags": [sorted(bag) for bag in bags.bags]}
     if trace is not None:
         doc["trace"] = [
-            {"kind": step.kind, "details": _jsonable(step.details)}
-            for step in trace.steps
+            {"kind": step.kind, "details": step.details} for step in trace.steps
         ]
-    return json.dumps(doc, indent=2) + "\n"
-
-
-def _jsonable(value: Any) -> Any:
-    if isinstance(value, dict):
-        return {str(k): _jsonable(v) for k, v in value.items()}
-    if isinstance(value, (frozenset, set)):
-        return sorted(value)
-    if isinstance(value, (list, tuple)):
-        return [_jsonable(v) for v in value]
-    return value
+    # sets are the only trace values JSON lacks; they are written sorted
+    return json.dumps(doc, indent=2, default=sorted) + "\n"
 
 
 # ---------------------------------------------------------------------------

@@ -204,14 +204,8 @@ def _solve_with_parallel(
 ) -> list[frozenset[EdgeId]]:
     e, f = pair
     x, y = H.edge(e).ends
-
-    def cls_index(eid: EdgeId) -> int:
-        for i, c in enumerate(classes):
-            if eid in c:
-                return i
-        raise InternalAssertionError(f"edge {eid!r} in no class")
-
-    ie, jf = cls_index(e), cls_index(f)
+    ie, jf = (next((i for i, c in enumerate(classes) if g in c), None) for g in pair)
+    _require(None not in (ie, jf), "an edge of the parallel pair is in no class")
     _require(ie != jf, "parallel edges share a class")
     _require(
         classes[ie] == {e} and classes[jf] == {f},

@@ -152,6 +152,25 @@ class TestSolveAndCheck:
         assert main(["check", "-i", inst, "-s", str(out)]) == EXIT_USAGE
         assert "$: solution document must be an object" in capsys.readouterr().err
 
+    def test_schema_errors_name_the_file(self, tmp_path, capsys):
+        inst = k4_instance(tmp_path)
+        bad_inst = tmp_path / "bad-instance.json"
+        bad_inst.write_text(json.dumps({"vertices": [], "edges": [], "classes": [5]}))
+        bad_sol = tmp_path / "bad-solution.json"
+        bad_sol.write_text(json.dumps({"bags": [["e"], 5]}))
+        out = str(tmp_path / "sp.json")
+        splice = ["generate", "splice", "--va", "0", "--vb", "0", "-o", out]
+        for argv, message in (
+            # check reads the instance first
+            (["check", "-i", str(bad_inst), "-s", inst], f"{bad_inst}: classes[0]"),
+            (["check", "-i", inst, "-s", str(bad_sol)], f"{bad_sol}: bags[1]"),
+            (splice + ["-a", inst, "-b", str(bad_inst)], f"{bad_inst}: classes[0]"),
+        ):
+            assert main(argv) == EXIT_USAGE
+            assert capsys.readouterr().err == (
+                f"error: {message}: expected a list of strings\n"
+            )
+
     def test_missing_file_is_a_usage_error(self, tmp_path):
         assert (
             main(["verify", "-i", str(tmp_path / "absent.json")]) == EXIT_USAGE

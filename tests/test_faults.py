@@ -5,7 +5,9 @@ check whose condition a typo turned into "always true" would pass every
 valid input unseen, so each check gets a row here (or in the fault tables
 of ``test_solver.py``) that makes it fire with its exact message.  The
 gate collects every ``_require`` message from the source with ``ast`` and
-fails when one has no row and is not listed in ``NOT_YET_FAULTED``.
+fails when one has no row and is not listed in ``NOT_YET_FAULTED``.  It
+also fails on a ``raise InternalAssertionError`` outside ``_require``: such
+a check would have no message for a row to match.
 
 Faults are built by calling a private construction step on crafted input or by
 patching a collaborator the solver resolves at call time
@@ -259,6 +261,11 @@ CONSTRUCTION_FAULTS = [
         id="base-one-t-edge",
     ),
     pytest.param(
+        lambda: parallel(ELL2, ({"e"}, {"xa", "yc"}, {"xc", "yb"}), {"e", "xa", "yb"}),
+        "an edge of the parallel pair is in no class",
+        id="parallel-edge-unclassified",
+    ),
+    pytest.param(
         lambda: parallel(
             ELL2, ({"e", "f"}, {"xa", "yc"}, {"xc", "yb"}), {"e", "xa", "yb"}
         ),
@@ -421,3 +428,21 @@ def test_every_require_has_a_fault_row_or_a_reason():
     # a row cannot tell apart two checks with one message
     repeated = {text for text in messages if messages.count(text) > 1}
     assert repeated == set()
+
+
+def test_every_runtime_check_is_a_require():
+    tree = ast.parse(SOLVER.read_text())
+    (require,) = (
+        node
+        for node in tree.body
+        if isinstance(node, ast.FunctionDef) and node.name == "_require"
+    )
+    inside = set(map(id, ast.walk(require)))
+    stray = [
+        node.lineno
+        for node in ast.walk(tree)
+        if isinstance(node, ast.Raise)
+        and id(node) not in inside
+        and "InternalAssertionError" in ast.unparse(node)
+    ]
+    assert stray == [], f"solver.py raises InternalAssertionError on lines {stray}"
