@@ -38,14 +38,20 @@ EXIT_INTERNAL = 3
 _NO_TRANSVERSAL = "instance has no transversal; add one or use `verify`"
 
 
-def _read(path, parse):
-    """Parse a document file, which JSON requires to be UTF-8; a ParseError
-    or SchemaViolationError names the file."""
+def _parse_file(path, parse):
+    """Parse a document file, which JSON requires to be UTF-8."""
     data = Path(path).read_bytes()
     try:
         return parse(data.decode("utf-8"))
     except UnicodeDecodeError as exc:
-        raise ParseError(f"{path}: byte {exc.start}: not UTF-8 ({exc.reason})") from None
+        raise ParseError(f"byte {exc.start}: not UTF-8 ({exc.reason})") from None
+
+
+def _read(path, parse):
+    """``_parse_file``, with the file named in a ParseError or
+    SchemaViolationError."""
+    try:
+        return _parse_file(path, parse)
     except ParseError as exc:
         raise ParseError(f"{path}: {exc}") from None
     except SchemaViolationError as exc:
@@ -164,15 +170,19 @@ def _cmd_corpus_run(args) -> int:
         return EXIT_USAGE
     failures = 0
     for path in files:
+        # each line names its file once, so errors leave the path out
         try:
-            H, part, T = _read(path, parse_instance)
+            H, part, T = _parse_file(path, parse_instance)
             ts = T if T is not None else _default_transversal(part)
             # solve validates the instance and verifies its own output
             bags, _trace = solve(H, part, ts)
             print(f"{path.name}: ok ({len(bags)} bags)")
-        except (KempeMinorError, OSError) as exc:
+        except KempeMinorError as exc:
             failures += 1
             print(f"{path.name}: FAIL ({exc})")
+        except OSError as exc:
+            failures += 1
+            print(f"{path.name}: FAIL ({exc.strerror or exc})")
     return EXIT_OK if failures == 0 else EXIT_REJECT
 
 

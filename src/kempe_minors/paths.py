@@ -21,7 +21,7 @@ node's arc order fix the search order, hence every path, separator and bag.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Iterable, Union
+from typing import Iterable, Sequence, Union
 
 from .errors import InvalidInputError
 from .graph import EdgeId, Multigraph, number_ends
@@ -59,7 +59,7 @@ class Separator:
 _INF = 1 << 30
 
 
-def network(H: Multigraph) -> tuple[list[list[int]], list[int], dict[EdgeId, int]]:
+def network(H: Multigraph) -> tuple[list[Sequence[int]], list[int], dict[EdgeId, int]]:
     """The vertex-edge incidence network of H.
 
     Returns ``(out, head, index)``: the network and each edge id's
@@ -75,10 +75,11 @@ def network(H: Multigraph) -> tuple[list[list[int]], list[int], dict[EdgeId, int
     - from ``j = 2m + 8i``, four per end of edge i, first end first:
       out_i -> hub, its reverse, hub -> in_i, its reverse, uncapacitated.
 
-    Every node lists its arcs in ascending id order: ``out[2i]`` is
-    ``[2i, j+3, j+7]``, ``out[2i+1]`` is ``[2i+1, j, j+4]`` and each hub
-    gets ``j+1, j+2`` or ``j+5, j+6`` per incident edge, in edge order.
-    The arcs are filled by list operations, not arc by arc.
+    Every node lists its arcs in ascending id order: ``out[2i]`` is the
+    tuple ``(2i, j+3, j+7)``, ``out[2i+1]`` the tuple ``(2i+1, j, j+4)``,
+    and each hub's list gets ``j+1, j+2`` or ``j+5, j+6`` per incident
+    edge, in edge order.  The arcs are filled by list operations, not arc
+    by arc.
     """
     ends = number_ends(H, H.edge_ids)
     m = len(ends)
@@ -94,7 +95,7 @@ def network(H: Multigraph) -> tuple[list[list[int]], list[int], dict[EdgeId, int
     for offset, column in enumerate(columns):
         head[2 * m + offset :: 8] = column
     out = [
-        arcs for x, j in zip(ins, js) for arcs in ([x, j + 3, j + 7], [x + 1, j, j + 4])
+        arcs for x, j in zip(ins, js) for arcs in ((x, j + 3, j + 7), (x + 1, j, j + 4))
     ]
     out += [[] for _ in H.vertices]
     for j, a, b in zip(js, first, second):
@@ -105,7 +106,7 @@ def network(H: Multigraph) -> tuple[list[list[int]], list[int], dict[EdgeId, int
 
 
 def _max_flow(
-    out: list[list[int]],
+    out: list[Sequence[int]],
     head: list[int],
     cap: list[int],
     starts: list[int],
@@ -150,7 +151,7 @@ def _max_flow(
 
 
 def _peel(
-    out: list[list[int]],
+    out: list[Sequence[int]],
     head: list[int],
     cap: list[int],
     starts: list[int],

@@ -9,6 +9,8 @@ reduction trace.
 from __future__ import annotations
 
 import json
+from itertools import chain, repeat
+from operator import itemgetter
 from typing import Any, Optional
 
 from .coloring import MatchingPartition
@@ -20,15 +22,19 @@ ParsedInstance = tuple[Multigraph, MatchingPartition, Optional[frozenset]]
 
 
 def _expect_list_of_str(value: Any, path: str) -> list[str]:
-    if not isinstance(value, list) or not all(isinstance(x, str) for x in value):
+    if not isinstance(value, list) or not all(map(isinstance, value, repeat(str))):
         raise SchemaViolationError(path, "expected a list of strings")
     return value
 
 
-def _expect_ids(value: Any, path: str, what: str, known: Any = None) -> list[str]:
-    """A list of distinct strings, each in ``known`` unless that is None;
-    the first unknown or repeated entry is reported at its own path."""
+def _expect_ids(
+    value: Any, path: str, what: str, known: Optional[set[str]] = None
+) -> list[str]:
+    """A list of distinct strings, each in the set ``known`` unless that is
+    None; the first unknown or repeated entry is reported at its own path."""
     ids = _expect_list_of_str(value, path)
+    if len(set(ids)) == len(ids) and (known is None or known.issuperset(ids)):
+        return ids
     seen: set[str] = set()
     for j, x in enumerate(ids):
         if known is not None and x not in known:
@@ -48,19 +54,38 @@ def _load(text: str) -> Any:
         raise ParseError("arrays and objects nest too deeply to parse") from None
 
 
-def parse_instance(text: str) -> ParsedInstance:
-    doc = _load(text)
-    if not isinstance(doc, dict):
-        raise SchemaViolationError("$", "instance document must be an object")
-    for key in ("vertices", "edges", "classes"):
-        if key not in doc:
-            raise SchemaViolationError(key, "missing required field")
-    vertices = _expect_ids(doc["vertices"], "vertices", "vertex id")
-    if not isinstance(doc["edges"], list):
-        raise SchemaViolationError("edges", "expected a list")
-    known = set(vertices)
+def _accepted_edges(items: list, known: set[str]) -> Optional[list[EdgeRecord]]:
+    """The edge records of ``items`` when every check on them passes, else
+    None: each item an object with an ``id`` and ``ends``, the ids distinct
+    strings, every ``ends`` a list of two known vertex ids, and no loop."""
+    if not all(map(isinstance, items, repeat(dict))):
+        return None
+    try:
+        ids = list(map(itemgetter("id"), items))
+        ends = list(map(itemgetter("ends"), items))
+    except KeyError:
+        return None
+    if not (
+        all(map(isinstance, ids, repeat(str)))
+        and len(set(ids)) == len(ids)
+        and all(map(isinstance, ends, repeat(list)))
+        and set(map(len, ends)) <= {2}
+    ):
+        return None
+    flat = list(chain.from_iterable(ends))
+    if not (all(map(isinstance, flat, repeat(str))) and known.issuperset(flat)):
+        return None
+    try:
+        return list(map(EdgeRecord, ids, map(tuple, ends)))
+    except KempeMinorError:
+        return None
+
+
+def _located_edges(items: list, known: set[str]) -> list[EdgeRecord]:
+    """The edge records of ``items``, checked edge by edge: the first
+    failing check raises at the path of its edge."""
     records: dict[str, EdgeRecord] = {}
-    for i, item in enumerate(doc["edges"]):
+    for i, item in enumerate(items):
         path = f"edges[{i}]"
         if not isinstance(item, dict) or "id" not in item or "ends" not in item:
             raise SchemaViolationError(path, "expected an object with id and ends")
@@ -78,17 +103,38 @@ def parse_instance(text: str) -> ParsedInstance:
             records[eid] = EdgeRecord(eid, (ends[0], ends[1]))
         except KempeMinorError as exc:
             raise SchemaViolationError(path, str(exc)) from None
-    H = Multigraph(vertices, records.values())
+    return list(records.values())
+
+
+def parse_instance(text: str) -> ParsedInstance:
+    """Each list in the document is accepted by checks over the whole list;
+    its entries are walked one by one only when a check fails, to report
+    the first failing entry at its own path."""
+    doc = _load(text)
+    if not isinstance(doc, dict):
+        raise SchemaViolationError("$", "instance document must be an object")
+    for key in ("vertices", "edges", "classes"):
+        if key not in doc:
+            raise SchemaViolationError(key, "missing required field")
+    vertices = _expect_ids(doc["vertices"], "vertices", "vertex id")
+    if not isinstance(doc["edges"], list):
+        raise SchemaViolationError("edges", "expected a list")
+    known = set(vertices)
+    records = _accepted_edges(doc["edges"], known)
+    if records is None:
+        records = _located_edges(doc["edges"], known)
+    H = Multigraph(vertices, records)
     if not isinstance(doc["classes"], list):
         raise SchemaViolationError("classes", "expected a list")
+    edge_ids = set(H.edge_ids)
     part = MatchingPartition.of(
-        _expect_ids(cls, f"classes[{i}]", "edge id", H)
+        _expect_ids(cls, f"classes[{i}]", "edge id", edge_ids)
         for i, cls in enumerate(doc["classes"])
     )
     transversal: Optional[frozenset] = None
     if doc.get("transversal") is not None:
         transversal = frozenset(
-            _expect_ids(doc["transversal"], "transversal", "edge id", H)
+            _expect_ids(doc["transversal"], "transversal", "edge id", edge_ids)
         )
     return H, part, transversal
 

@@ -366,6 +366,8 @@ class TestCorpusRun:
         assert lines[4].startswith("sub.json: FAIL (")
         assert "Is a directory" in lines[4]
         assert len(lines) == 5
+        # each line names its file once, by name alone
+        assert not any(str(d) in line for line in lines)
 
     def test_empty_directory(self, tmp_path):
         d = tmp_path / "empty"

@@ -9,15 +9,20 @@ from hypothesis import strategies as st
 
 from kempe_minors.coloring import (
     MatchingPartition,
+    Verdict,
     verify_kempe,
     verify_matching_partition,
     verify_transversal,
 )
-from kempe_minors.errors import UnknownEdgeIdError
+from kempe_minors.corpus import standard_corpus
+from kempe_minors.errors import KempeMinorError, UnknownEdgeIdError
 from kempe_minors.generators import gen_circulant, k4_seed
 from kempe_minors.graph import Multigraph, edge, edge_components
+from kempe_minors.serialization import parse_instance
 from endcount import pair_end_count, pair_subgraph_ends
 from referencekempe import reference_verify_kempe
+from referencepartition import reference_verify_matching_partition
+from test_fuzz import edited_instances
 
 
 def square_with_colors():
@@ -122,6 +127,51 @@ class TestMatchingPartition:
             "class 2 is empty",
             "edge 'ad' is in no class",
         )
+
+
+def partition_mutants(H, part):
+    """The partition with, in turn: its first class edge dropped, that edge
+    put in a second class too, an unknown id, an empty class, and an edge
+    of another class meeting it moved into its class."""
+    classes = [sorted(cls) for cls in part.classes]
+    first, rest = classes[0][0], classes[1:]
+    meets = min(
+        f for v in H.edge(first).ends for f in H.edges_at(v) if f not in classes[0]
+    )
+    return [
+        [classes[0][1:], *rest],
+        [classes[0], classes[1] + [first], *rest[1:]],
+        [classes[0] + ["zz"], *rest],
+        [*classes, []],
+        [classes[0] + [meets], *([f for f in c if f != meets] for c in rest)],
+    ]
+
+
+class TestMatchesTheReplacedPartitionCheck:
+    """The per-class acceptance gives the edge-by-edge check's whole
+    verdict, every violation in order."""
+
+    def test_every_fuzzed_document_that_parses(self):
+        checked = 0
+        for n, text in enumerate(edited_instances()):
+            try:
+                H, part, _ = parse_instance(text)
+            except KempeMinorError:
+                continue
+            want = reference_verify_matching_partition(H, part)
+            assert verify_matching_partition(H, part) == want, n
+            checked += 1
+        assert checked > 100
+
+    @pytest.mark.parametrize("name, instance", standard_corpus())
+    def test_corpus_instance_and_its_mutants(self, name, instance):
+        H, part = instance
+        assert verify_matching_partition(H, part) == Verdict(True)
+        for classes in partition_mutants(H, part):
+            mutant = MatchingPartition.of(classes)
+            verdict = verify_matching_partition(H, mutant)
+            assert not verdict
+            assert verdict == reference_verify_matching_partition(H, mutant)
 
 
 class TestKempe:

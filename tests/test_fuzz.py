@@ -101,6 +101,24 @@ def edit(rng, doc, ids):
         node[k] = random_json(rng, ids)
 
 
+EDITED = 2000  # instance documents compared with the reference parser
+
+
+@cache
+def edited_instances():
+    """EDITED instance documents as JSON text, each one of ``documents()``
+    with 1-3 edits, every one drawn from its own seed."""
+    texts = []
+    for n in range(EDITED):
+        rng = random.Random(f"instance:{n}")
+        inst = copy.deepcopy(rng.choice(documents())[0])
+        ids = inst["vertices"] + [e["id"] for e in inst["edges"]]
+        for _ in range(rng.randint(1, 3)):
+            edit(rng, inst, ids)
+        texts.append(json.dumps(inst))
+    return tuple(texts)
+
+
 def fuzz_call(command, n, tmp_path):
     """Call n of command on freshly edited documents; returns the exit code."""
     rng = random.Random(f"{command}:{n}")

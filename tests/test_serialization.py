@@ -5,7 +5,7 @@ import json
 import pytest
 
 from kempe_minors.coloring import MatchingPartition
-from kempe_minors.errors import ParseError, SchemaViolationError
+from kempe_minors.errors import KempeMinorError, ParseError, SchemaViolationError
 from kempe_minors.generators import gen_circulant, k4_seed
 from kempe_minors.graph import Multigraph, edge
 from kempe_minors.serialization import (
@@ -16,6 +16,8 @@ from kempe_minors.serialization import (
     parse_solution,
 )
 from kempe_minors.solver import BagSystem, ReductionTrace, TraceStep, solve
+from referenceparse import reference_parse_instance
+from test_fuzz import edited_instances
 
 
 class TestInstanceRoundTrip:
@@ -186,6 +188,119 @@ class TestDiagnostics:
         ) as info:
             parse_solution(text)
         assert info.value.path == "$"
+
+
+def outcome(parse, text):
+    """What ``parse`` makes of an instance document: its vertices, edge
+    records, classes and transversal, or its error's type, path and
+    message."""
+    try:
+        H, part, T = parse(text)
+    except KempeMinorError as exc:
+        return type(exc), getattr(exc, "path", None), str(exc)
+    return H.vertices, tuple(H.edges()), part.classes, T
+
+
+VALID = {
+    "vertices": ["a", "b", "c", "d"],
+    "edges": [
+        {"id": "ab", "ends": ["a", "b"]},
+        {"id": "bc", "ends": ["b", "c"]},
+        {"id": "cd", "ends": ["c", "d"]},
+    ],
+    "classes": [["ab", "cd"], ["bc"]],
+    "transversal": ["ab", "bc"],
+}
+
+
+def edges_with(*changes):
+    """VALID's edges, with ``(i, fields)`` updating edge i's fields."""
+    edges = [dict(e) for e in VALID["edges"]]
+    for i, fields in changes:
+        edges[i].update(fields)
+    return edges
+
+
+class TestMatchesTheReplacedParser:
+    """The whole-list checks accept what the entry-by-entry parser accepted,
+    and every rejection keeps its type, path and message."""
+
+    def test_edited_corpus_documents(self):
+        kinds = set()
+        for n, text in enumerate(edited_instances()):
+            got = outcome(parse_instance, text)
+            assert got == outcome(reference_parse_instance, text), n
+            kinds.add(got[0] if isinstance(got[0], type) else "parsed")
+        # the edits leave some documents valid and make the others break
+        # the schema (every text is well-formed JSON)
+        assert kinds == {"parsed", SchemaViolationError}
+
+    # two faults each, in different fields or entries: the first in
+    # document order is the one reported
+    TWO_FAULTS = [
+        pytest.param(
+            {"vertices": ["a", "b", "c", "d", "a"], "classes": [["zz"]]},
+            "vertices[4]", "duplicate vertex id 'a'",
+            id="vertices-before-classes",
+        ),
+        pytest.param(
+            {"edges": "ab", "classes": None},
+            "edges", "expected a list",
+            id="edges-before-classes",
+        ),
+        pytest.param(
+            {"edges": edges_with((0, {"ends": ["a", "zz"]}), (2, {"id": 7}))},
+            "edges[0].ends[1]", "unknown vertex id 'zz'",
+            id="first-edge-first",
+        ),
+        pytest.param(
+            {"edges": edges_with((1, {"id": "ab"})), "classes": [["zz"]]},
+            "edges[1].id", "duplicate edge id 'ab'",
+            id="duplicate-edge-before-classes",
+        ),
+        pytest.param(
+            {"edges": edges_with((0, {"ends": ["a", "a"]}), (1, {"ends": ["b"]}))},
+            "edges[0]", "edge 'ab' would be a loop at 'a'",
+            id="loop-before-later-ends",
+        ),
+        pytest.param(
+            {"edges": edges_with((0, {"id": ["ab"], "ends": ["a", "zz"]}))},
+            "edges[0].id", "expected a string",
+            id="id-before-ends",
+        ),
+        pytest.param(
+            {"classes": [["ab", "cd"], ["bc", "bc"]], "transversal": ["zz"]},
+            "classes[1][1]", "duplicate edge id 'bc'",
+            id="classes-before-transversal",
+        ),
+        pytest.param(
+            {"classes": [["zz", "ab", "ab"]]},
+            "classes[0][0]", "unknown edge id 'zz'",
+            id="unknown-before-duplicate",
+        ),
+        pytest.param(
+            {"classes": [["ab", "ab", "zz"]]},
+            "classes[0][1]", "duplicate edge id 'ab'",
+            id="duplicate-before-unknown",
+        ),
+        pytest.param(
+            {"edges": [{"id": 1}], "classes": None},
+            "edges[0]", "expected an object with id and ends",
+            id="edge-object-before-classes",
+        ),
+    ]
+
+    @pytest.mark.parametrize("change, path, message", TWO_FAULTS)
+    def test_first_fault_is_reported(self, change, path, message):
+        text = json.dumps({**VALID, **change})
+        got = outcome(parse_instance, text)
+        assert got == (SchemaViolationError, path, f"{path}: {message}")
+        assert got == outcome(reference_parse_instance, text)
+
+    def test_valid_document_parses_alike(self):
+        text = json.dumps(VALID)
+        assert outcome(parse_instance, text) == outcome(reference_parse_instance, text)
+        assert outcome(parse_instance, text)[0] == ("a", "b", "c", "d")
 
 
 def parallel_multigraph():
