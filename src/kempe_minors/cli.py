@@ -168,7 +168,9 @@ def _cmd_corpus_run(args) -> int:
     if not files:
         print(f"no instance files in {directory}", file=sys.stderr)
         return EXIT_USAGE
-    failures = 0
+    # the worst outcome sets the exit code: an internal assertion (3) wins
+    # over a failed file (1), and the batch runs on after either
+    code = EXIT_OK
     for path in files:
         # each line names its file once, so errors leave the path out
         try:
@@ -177,13 +179,16 @@ def _cmd_corpus_run(args) -> int:
             # solve validates the instance and verifies its own output
             bags, _trace = solve(H, part, ts)
             print(f"{path.name}: ok ({len(bags)} bags)")
+        except InternalAssertionError as exc:
+            code = EXIT_INTERNAL
+            print(f"{path.name}: FAIL (internal assertion failed: {exc})")
         except KempeMinorError as exc:
-            failures += 1
+            code = max(code, EXIT_REJECT)
             print(f"{path.name}: FAIL ({exc})")
         except OSError as exc:
-            failures += 1
+            code = max(code, EXIT_REJECT)
             print(f"{path.name}: FAIL ({exc.strerror or exc})")
-    return EXIT_OK if failures == 0 else EXIT_REJECT
+    return code
 
 
 def build_parser() -> argparse.ArgumentParser:

@@ -4,18 +4,24 @@ Documents are JSON: human-readable, diffable, and round-trip lossless.
 An instance holds vertices, edges with stable ids, the matching classes,
 and optionally a transversal; a solution holds the bags and optionally the
 reduction trace.
+
+Both emitters write exactly the bytes of ``json.dumps(doc, indent=2)`` plus
+a newline, with ASCII escapes.  They assemble the text from strings that
+the interpreter's C code builds, because json encodes an indented document
+in pure Python, a generator frame per nested value.
 """
 
 from __future__ import annotations
 
 import json
 from itertools import chain, repeat
+from json.encoder import encode_basestring_ascii as _quote
 from operator import itemgetter
-from typing import Any, Optional
+from typing import Any, Iterable, Optional
 
 from .coloring import MatchingPartition
 from .errors import KempeMinorError, ParseError, SchemaViolationError
-from .graph import EdgeRecord, Multigraph
+from .graph import EdgeRecord, Multigraph, number_ends
 from .solver import BagSystem, ReductionTrace
 
 ParsedInstance = tuple[Multigraph, MatchingPartition, Optional[frozenset]]
@@ -139,17 +145,38 @@ def parse_instance(text: str) -> ParsedInstance:
     return H, part, transversal
 
 
+# One edge object of an instance document, nested in its "edges" list as
+# json.dumps(indent=2) nests it; the slots take the encoded id and ends.
+_EDGE = '{\n      "id": %s,\n      "ends": [\n        %s,\n        %s\n      ]\n    }'
+
+
+def _listing(items: Iterable[str], indent: str) -> str:
+    """The encoded JSON values ``items`` as a list closing at ``indent``, laid
+    out as ``json.dumps(indent=2)`` lays it out, and ``[]`` when empty (no
+    encoded value is empty, so an empty join means no items)."""
+    inner = indent + "  "
+    text = f",\n{inner}".join(items)
+    return f"[\n{inner}{text}\n{indent}]" if text else "[]"
+
+
 def emit_instance(
     H: Multigraph, part: MatchingPartition, transversal=None
 ) -> str:
-    doc: dict[str, Any] = {
-        "vertices": list(H.vertices),
-        "edges": [{"id": e.id, "ends": list(e.ends)} for e in H.edges()],
-        "classes": [sorted(cls) for cls in part.classes],
-    }
+    """Each vertex id is encoded once, for the vertex list and every end,
+    and each edge fills one ``_EDGE``."""
+    vertices = list(map(_quote, H.vertices))
+    ids = H.edge_ids
+    ends = list(map(vertices.__getitem__, chain.from_iterable(number_ends(H, ids))))
+    edges = map(_EDGE.__mod__, zip(map(_quote, ids), ends[0::2], ends[1::2]))
+    fields = [
+        f'"vertices": {_listing(vertices, "  ")}',
+        f'"edges": {_listing(edges, "  ")}',
+        '"classes": '
+        + _listing((_listing(map(_quote, sorted(c)), "    ") for c in part.classes), "  "),
+    ]
     if transversal is not None:
-        doc["transversal"] = sorted(transversal)
-    return json.dumps(doc, indent=2) + "\n"
+        fields.append(f'"transversal": {_listing(map(_quote, sorted(transversal)), "  ")}')
+    return "{\n  " + ",\n  ".join(fields) + "\n}\n"
 
 
 def parse_solution(text: str) -> BagSystem:
@@ -166,13 +193,18 @@ def parse_solution(text: str) -> BagSystem:
 
 
 def emit_solution(bags: BagSystem, trace: Optional[ReductionTrace] = None) -> str:
-    doc: dict[str, Any] = {"bags": [sorted(bag) for bag in bags.bags]}
+    fields = [
+        '"bags": '
+        + _listing((_listing(map(_quote, sorted(b)), "    ") for b in bags.bags), "  ")
+    ]
     if trace is not None:
-        doc["trace"] = [
-            {"kind": step.kind, "details": step.details} for step in trace.steps
-        ]
-    # sets are the only trace values JSON lacks; they are written sorted
-    return json.dumps(doc, indent=2, default=sorted) + "\n"
+        steps = [{"kind": step.kind, "details": step.details} for step in trace.steps]
+        # sets are the only trace values JSON lacks; they are written sorted.
+        # An encoded string holds no raw newline, so two spaces after each
+        # newline nest the list one level down, as json.dumps(doc) would.
+        text = json.dumps(steps, indent=2, default=sorted)
+        fields.append('"trace": ' + text.replace("\n", "\n  "))
+    return "{\n  " + ",\n  ".join(fields) + "\n}\n"
 
 
 # ---------------------------------------------------------------------------

@@ -9,7 +9,9 @@ from pathlib import Path
 
 import pytest
 
-from kempe_minors.cli import EXIT_OK, EXIT_REJECT, EXIT_USAGE, main
+from kempe_minors import solver
+from kempe_minors.cli import EXIT_INTERNAL, EXIT_OK, EXIT_REJECT, EXIT_USAGE, main
+from kempe_minors.errors import InternalAssertionError
 from kempe_minors.generators import gen_circulant, k4_seed
 from kempe_minors.serialization import emit_instance
 
@@ -17,6 +19,19 @@ from kempe_minors.serialization import emit_instance
 def write_instance(path, H, part, T=None):
     path.write_text(emit_instance(H, part, T))
     return str(path)
+
+
+def fault_on_k4(monkeypatch):
+    """Make every solve of an instance holding K_4's edge ``e01`` fail a
+    runtime check; other instances solve as before."""
+    solve_rec = solver._solve_rec
+
+    def faulty(H, classes, ts, trace):
+        if "e01" in H:
+            raise InternalAssertionError("injected")
+        return solve_rec(H, classes, ts, trace)
+
+    monkeypatch.setattr(solver, "_solve_rec", faulty)
 
 
 def k4_instance(tmp_path, with_transversal=True):
@@ -52,6 +67,14 @@ class TestSolveAndCheck:
         out.write_text(json.dumps(doc))
         assert main(["check", "-i", inst, "-s", str(out)]) == EXIT_REJECT
         assert "reject" in capsys.readouterr().out
+
+    def test_internal_assertion_exits_3(self, tmp_path, monkeypatch, capsys):
+        inst = k4_instance(tmp_path)
+        fault_on_k4(monkeypatch)
+        out = tmp_path / "solution.json"
+        assert main(["solve", "-i", inst, "-o", str(out)]) == EXIT_INTERNAL
+        assert capsys.readouterr().err == "internal assertion failed: injected\n"
+        assert not out.exists()
 
     def test_solve_requires_transversal(self, tmp_path):
         inst = k4_instance(tmp_path, with_transversal=False)
@@ -345,6 +368,25 @@ class TestCorpusRun:
         out = capsys.readouterr().out
         assert "k4.json: FAIL" in out
         assert "class 0 is hit 2 times" in out
+
+    def test_internal_assertion_exits_3_and_the_batch_runs_on(
+        self, tmp_path, monkeypatch, capsys
+    ):
+        d = tmp_path / "corpus"
+        d.mkdir()
+        (d / "bad.json").write_text("{nope")
+        for name, m in (("c5.json", 5), ("z7.json", 7)):
+            write_instance(d / name, *gen_circulant(m, (0, 1, 2)))
+        write_instance(d / "k4.json", *k4_seed())
+        fault_on_k4(monkeypatch)
+        assert main(["corpus", "run", "--dir", str(d)]) == EXIT_INTERNAL
+        lines = capsys.readouterr().out.splitlines()
+        assert lines[0].startswith("bad.json: FAIL (line 1")
+        assert lines[1:] == [
+            "c5.json: ok (3 bags)",
+            "k4.json: FAIL (internal assertion failed: injected)",
+            "z7.json: ok (3 bags)",
+        ]
 
     def test_malformed_documents_fail_one_by_one(self, tmp_path, capsys):
         d = tmp_path / "corpus"

@@ -1,12 +1,15 @@
 """Instance and solution documents: round trips, diagnostics, DOT export."""
 
 import json
+import re
+from pathlib import Path
 
 import pytest
 
 from kempe_minors.coloring import MatchingPartition
+from kempe_minors.corpus import sample_transversals, standard_corpus
 from kempe_minors.errors import KempeMinorError, ParseError, SchemaViolationError
-from kempe_minors.generators import gen_circulant, k4_seed
+from kempe_minors.generators import delete_vertex, gen_circulant, k4_seed
 from kempe_minors.graph import Multigraph, edge
 from kempe_minors.serialization import (
     emit_instance,
@@ -16,8 +19,49 @@ from kempe_minors.serialization import (
     parse_solution,
 )
 from kempe_minors.solver import BagSystem, ReductionTrace, TraceStep, solve
+from referenceemit import reference_emit_instance, reference_emit_solution
 from referenceparse import reference_parse_instance
 from test_fuzz import edited_instances
+from test_relations import instances as relation_instances
+
+
+# The README's "Instance format" example as emit_instance writes it.
+README_EXAMPLE = """{
+  "vertices": [
+    "x",
+    "y",
+    "z"
+  ],
+  "edges": [
+    {
+      "id": "e",
+      "ends": [
+        "x",
+        "y"
+      ]
+    },
+    {
+      "id": "g",
+      "ends": [
+        "y",
+        "z"
+      ]
+    }
+  ],
+  "classes": [
+    [
+      "e"
+    ],
+    [
+      "g"
+    ]
+  ],
+  "transversal": [
+    "e",
+    "g"
+  ]
+}
+"""
 
 
 class TestInstanceRoundTrip:
@@ -38,8 +82,10 @@ class TestInstanceRoundTrip:
         assert T2 == T
 
     def test_emitted_text_is_stable(self):
-        H, part = k4_seed()
-        assert emit_instance(H, part) == emit_instance(H, part)
+        readme = (Path(__file__).parents[1] / "README.md").read_text()
+        section = readme.split("\n## Instance format\n", 1)[1]
+        example = re.search(r"```json\n(.*?)```", section, re.S).group(1)
+        assert emit_instance(*parse_instance(example)) == README_EXAMPLE
 
 
 class TestSolutionRoundTrip:
@@ -60,6 +106,124 @@ class TestSolutionRoundTrip:
         )
         doc = json.loads(emit_solution(BagSystem.of([{"x"}]), trace))
         assert doc["trace"][0]["details"]["star"] == ["a", "b"]
+
+
+# Ids that JSON must escape, or that ASCII escaping writes as \u escapes
+# (an astral character as a surrogate pair), and a %-template field; each
+# is a vertex and in an edge id.
+AWKWARD = ['"', "\\", "\n", "\x01", "\u2028", "\u00e9", "\U0001f600", "%s"]
+
+
+def awkward_instance():
+    edges = [edge(f"{a}{b}", a, b) for a, b in zip(AWKWARD, AWKWARD[1:])]
+    ids = sorted(e.id for e in edges)
+    part = MatchingPartition.of([ids[0::2], ids[1::2]])
+    return Multigraph(AWKWARD, edges), part, frozenset(ids[:2])
+
+
+def ladder_graphs():
+    """The 18 size-ladder graphs: circulants m in {53, 101, 211} with
+    k in {5, 9, 15}, and each one's first-vertex deletion."""
+    graphs = []
+    for m in (53, 101, 211):
+        for k in (5, 9, 15):
+            H, part = gen_circulant(m, tuple(range(k)))
+            graphs += [(H, part), delete_vertex(H, part, H.vertices[0])]
+    return graphs
+
+
+class TestMatchesTheReplacedEmitters:
+    """The emitters write the bytes ``json.dumps(doc, indent=2)`` wrote."""
+
+    @staticmethod
+    def same_instance(H, part, T=None):
+        assert emit_instance(H, part, T) == reference_emit_instance(H, part, T)
+
+    def test_corpus_instances(self):
+        for _, (H, part) in standard_corpus():
+            self.same_instance(H, part)
+            for T in sample_transversals(part, 3, seed=0):
+                self.same_instance(H, part, T)
+
+    def test_size_ladder_graphs(self):
+        graphs = ladder_graphs()
+        assert len(graphs) == 18
+        for H, part in graphs:
+            self.same_instance(H, part)
+            (T,) = sample_transversals(part, 1, seed=0)
+            self.same_instance(H, part, T)
+
+    def test_edited_documents_that_parse(self):
+        parsed = 0
+        for text in edited_instances():
+            try:
+                H, part, T = parse_instance(text)
+            except KempeMinorError:
+                continue
+            parsed += 1
+            self.same_instance(H, part, T)
+        assert parsed == 352
+
+    def test_ids_that_need_escapes(self):
+        H, part, T = awkward_instance()
+        self.same_instance(H, part, T)
+        text = emit_instance(H, part, T)
+        assert text.isascii() and "\\ud83d\\ude00" in text
+        assert outcome(parse_instance, text) == (
+            H.vertices, tuple(H.edges()), part.classes, T
+        )
+        bags = BagSystem.of([AWKWARD[:3], AWKWARD[3:]])
+        trace = ReductionTrace((TraceStep("menger", {"star": frozenset(AWKWARD)}),))
+        for tr in (None, trace):
+            assert emit_solution(bags, tr) == reference_emit_solution(bags, tr)
+
+    def test_empty_collections(self):
+        H = Multigraph(["a", "b"], [edge("e", "a", "b")])
+        self.same_instance(Multigraph([], []), MatchingPartition.of([]))
+        self.same_instance(Multigraph([], []), MatchingPartition.of([]), frozenset())
+        self.same_instance(Multigraph(["a"], []), MatchingPartition.of([[]]))
+        self.same_instance(H, MatchingPartition.of([]))
+        self.same_instance(H, MatchingPartition.of([["e"], []]), frozenset({"e"}))
+        for bags in (BagSystem(()), BagSystem.of([[]]), BagSystem.of([["e"], []])):
+            for trace in (None, ReductionTrace(())):
+                assert emit_solution(bags, trace) == reference_emit_solution(bags, trace)
+
+    def test_solutions_with_and_without_trace(self):
+        kinds, keys = set(), set()
+        for H, part, ts in relation_instances():
+            for T in ts:
+                bags, trace = solve(H, part, T)
+                assert emit_solution(bags) == reference_emit_solution(bags)
+                assert emit_solution(bags, trace) == reference_emit_solution(bags, trace)
+                kinds.update(trace.kinds())
+                keys.update(k for step in trace.steps for k in step.details)
+        # every kind of step the recursion takes, and the set, pair and
+        # dict details of the separator and parallel steps
+        assert {"menger", "separator", "parallel", "complete"} <= kinds
+        assert {"side_c", "side_d", "lift_paths", "pair", "big_bag"} <= keys
+
+
+class TestNoPurePythonEncoder:
+    """json encodes an indented document in pure Python, through
+    ``json.encoder._make_iterencode``; the emitters must not reach it."""
+
+    def test_emitters_do_not_call_it(self, monkeypatch):
+        def refuse(*args, **kwargs):
+            raise AssertionError("json's pure-Python encoder was called")
+
+        H, part = gen_circulant(5, (0, 1, 2))
+        T = frozenset(min(c) for c in part.classes)
+        bags, _trace = solve(H, part, T)
+        expected = [
+            reference_emit_instance(H, part),
+            reference_emit_instance(H, part, T),
+            reference_emit_solution(bags),
+        ]
+        monkeypatch.setattr(json.encoder, "_make_iterencode", refuse)
+        with pytest.raises(AssertionError, match="pure-Python"):
+            reference_emit_instance(H, part)
+        got = [emit_instance(H, part), emit_instance(H, part, T), emit_solution(bags)]
+        assert got == expected
 
 
 class TestDiagnostics:
