@@ -59,7 +59,5 @@ def sample_transversals(
     if math.prod(map(len, part.classes)) <= count:
         return list(all_transversals(part))
     rng = random.Random(seed)
-    out = []
-    for _ in range(count):
-        out.append(frozenset(rng.choice(sorted(cls)) for cls in part.classes))
-    return out
+    classes = [sorted(cls) for cls in part.classes]
+    return [frozenset(map(rng.choice, classes)) for _ in range(count)]

@@ -59,7 +59,7 @@ def _is_near_perfect(H: Multigraph, part: MatchingPartition) -> bool:
     return bool(
         verify_matching_partition(H, part)
         and all(a + b == nv - 1 for a, b in combinations(sizes, 2))
-        and all(H.degree(v) >= part.k - 1 for v in H.vertices)
+        and all(d >= part.k - 1 for d in H.degrees())
         and verify_kempe(H, part)
     )
 

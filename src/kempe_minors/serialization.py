@@ -16,7 +16,6 @@ from __future__ import annotations
 import json
 from itertools import chain, repeat
 from json.encoder import encode_basestring_ascii as _quote
-from operator import itemgetter
 from typing import Any, Iterable, Optional
 
 from .coloring import MatchingPartition
@@ -60,31 +59,23 @@ def _load(text: str) -> Any:
         raise ParseError("arrays and objects nest too deeply to parse") from None
 
 
-def _accepted_edges(items: list, known: set[str]) -> Optional[list[EdgeRecord]]:
-    """The edge records of ``items`` when every check on them passes, else
-    None: each item an object with an ``id`` and ``ends``, the ids distinct
-    strings, every ``ends`` a list of two known vertex ids, and no loop."""
-    if not all(map(isinstance, items, repeat(dict))):
-        return None
-    try:
-        ids = list(map(itemgetter("id"), items))
-        ends = list(map(itemgetter("ends"), items))
-    except KeyError:
-        return None
-    if not (
-        all(map(isinstance, ids, repeat(str)))
-        and len(set(ids)) == len(ids)
-        and all(map(isinstance, ends, repeat(list)))
-        and set(map(len, ends)) <= {2}
-    ):
-        return None
-    flat = list(chain.from_iterable(ends))
-    if not (all(map(isinstance, flat, repeat(str))) and known.issuperset(flat)):
-        return None
-    try:
-        return list(map(EdgeRecord, ids, map(tuple, ends)))
-    except KempeMinorError:
-        return None
+def _accepted_edges(items: list) -> list[EdgeRecord]:
+    """The edge records of ``items`` when the list has an edge list's JSON
+    shape: each item an object with a string ``id`` and ``ends`` a list of
+    two strings.  Loops, repeated ids and unknown ends are left to
+    ``EdgeRecord`` and ``Multigraph``.  A shape failure raises at ``edges``
+    without naming an entry; ``parse_instance`` then walks the list."""
+    if all(map(isinstance, items, repeat(dict))):
+        ids = list(map(dict.get, items, repeat("id")))
+        ends = list(map(dict.get, items, repeat("ends")))
+        if (
+            all(map(isinstance, ids, repeat(str)))
+            and all(map(isinstance, ends, repeat(list)))
+            and set(map(len, ends)) <= {2}
+            and all(map(isinstance, chain.from_iterable(ends), repeat(str)))
+        ):
+            return list(map(EdgeRecord, ids, map(tuple, ends)))
+    raise SchemaViolationError("edges", "expected objects with an id and two ends")
 
 
 def _located_edges(items: list, known: set[str]) -> list[EdgeRecord]:
@@ -115,7 +106,10 @@ def _located_edges(items: list, known: set[str]) -> list[EdgeRecord]:
 def parse_instance(text: str) -> ParsedInstance:
     """Each list in the document is accepted by checks over the whole list;
     its entries are walked one by one only when a check fails, to report
-    the first failing entry at its own path."""
+    the first failing entry at its own path.  For the edge list the whole
+    list checks are the shape pass, ``EdgeRecord`` and ``Multigraph``; a
+    refusal by any of them sends the list to the walk, which names the
+    first failing entry in document order."""
     doc = _load(text)
     if not isinstance(doc, dict):
         raise SchemaViolationError("$", "instance document must be an object")
@@ -125,11 +119,10 @@ def parse_instance(text: str) -> ParsedInstance:
     vertices = _expect_ids(doc["vertices"], "vertices", "vertex id")
     if not isinstance(doc["edges"], list):
         raise SchemaViolationError("edges", "expected a list")
-    known = set(vertices)
-    records = _accepted_edges(doc["edges"], known)
-    if records is None:
-        records = _located_edges(doc["edges"], known)
-    H = Multigraph(vertices, records)
+    try:
+        H = Multigraph(vertices, _accepted_edges(doc["edges"]))
+    except KempeMinorError:
+        H = Multigraph(vertices, _located_edges(doc["edges"], set(vertices)))
     if not isinstance(doc["classes"], list):
         raise SchemaViolationError("classes", "expected a list")
     edge_ids = set(H.edge_ids)

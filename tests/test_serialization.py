@@ -6,6 +6,7 @@ from pathlib import Path
 
 import pytest
 
+from kempe_minors import serialization
 from kempe_minors.coloring import MatchingPartition
 from kempe_minors.corpus import sample_transversals, standard_corpus
 from kempe_minors.errors import KempeMinorError, ParseError, SchemaViolationError
@@ -452,6 +453,24 @@ class TestMatchesTheReplacedParser:
             "edges[0]", "expected an object with id and ends",
             id="edge-object-before-classes",
         ),
+        # EdgeRecord refuses every loop before Multigraph checks any id or
+        # end, so these put the fault the constructors find first later in
+        # the document
+        pytest.param(
+            {"edges": edges_with((0, {"ends": ["a", "zz"]}), (2, {"ends": ["c", "c"]}))},
+            "edges[0].ends[1]", "unknown vertex id 'zz'",
+            id="unknown-end-before-loop",
+        ),
+        pytest.param(
+            {"edges": edges_with((1, {"id": "ab"}), (2, {"ends": ["c", "c"]}))},
+            "edges[1].id", "duplicate edge id 'ab'",
+            id="duplicate-edge-before-loop",
+        ),
+        pytest.param(
+            {"edges": edges_with((0, {"ends": ["a"]}), (2, {"id": "ab"}))},
+            "edges[0].ends", "expected exactly two endpoints",
+            id="short-ends-before-duplicate",
+        ),
     ]
 
     @pytest.mark.parametrize("change, path, message", TWO_FAULTS)
@@ -460,6 +479,26 @@ class TestMatchesTheReplacedParser:
         got = outcome(parse_instance, text)
         assert got == (SchemaViolationError, path, f"{path}: {message}")
         assert got == outcome(reference_parse_instance, text)
+
+    def test_valid_documents_skip_the_walk(self, monkeypatch):
+        """The walk returns the records the whole-list checks would, so
+        only a walk that raises shows a whole-list check refusing valid
+        input."""
+        texts = []
+        for _, (H, part) in standard_corpus():
+            texts.append(emit_instance(H, part))
+            texts += [emit_instance(H, part, T) for T in sample_transversals(part, 3)]
+        for H, part in ladder_graphs():
+            (T,) = sample_transversals(part, 1)
+            texts += [emit_instance(H, part), emit_instance(H, part, T)]
+        expected = [outcome(reference_parse_instance, text) for text in texts]
+
+        def refuse(*args):
+            raise AssertionError("a valid edge list was walked")
+
+        monkeypatch.setattr(serialization, "_located_edges", refuse)
+        assert [outcome(parse_instance, text) for text in texts] == expected
+        assert all(isinstance(got[0], tuple) for got in expected)
 
     def test_valid_document_parses_alike(self):
         text = json.dumps(VALID)
