@@ -28,6 +28,10 @@ from hamilton import pair_union_is_hamilton_path
 # sha256 of the criterion-1 rows [name, sorted T, sorted bags, step kinds],
 # in corpus order
 CRITERION_1_DIGEST = "ae4173b265d215bf15e66660eccccc5b750ca37caf5d6e9a9acad077498360d8"
+# sha256 of the rows [name, sorted T, [sorted S for each separator step]]:
+# the minimum cut nearest the star is the same in every maximum flow, so
+# this pin holds whichever Menger paths the flow picks
+CRITERION_1_SEPARATORS = "3e869a45ca259a1f02e48f12b96a3eeb6f55ea77362f15ca60659c3507fa11ce"
 
 
 def _report(n, message):
@@ -49,6 +53,14 @@ def test_criterion_1_solve_then_verify_whole_corpus():
     assert elapsed < 10.0, f"corpus sweep took {elapsed:.1f}s, budget is 10s"
     # the branches the sweep takes are part of the solver's behaviour
     assert shapes == {"menger": 3181, "separator>menger": 227, "complete": 1}, shapes
+    # so are the separator sets, pinned on their own before the bags: the
+    # choice among Menger paths moves the bags but not these
+    cuts = []
+    for name, T, _, trace in solves:
+        seps = [s.details["separator"] for s in trace.steps if s.kind == "separator"]
+        cuts.append([name, sorted(T), [sorted(S) for S in seps]])
+    digest = hashlib.sha256(json.dumps(cuts).encode()).hexdigest()
+    assert digest == CRITERION_1_SEPARATORS, digest
     # and so are the bags, Menger and separator ones included: one digest
     # pins every solve's output, whatever the hash seed
     rows = [
