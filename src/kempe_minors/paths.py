@@ -1,13 +1,13 @@
 """The Menger flow: vertex-disjoint paths or a minimum separator in L(H).
 
-The path finder runs one unit-capacity augmenting-path flow, then one path
-decomposition, with a deterministic (ascending id) search order.  L(H)
-itself is never built: vertex-disjoint paths in L(H) are the paths of the
-vertex-edge incidence network of H that share no edge node, where each
-edge node has capacity one and each vertex is an uncapacitated hub
-standing in for the clique that L(H) has at it.  The minimum separators of
-the two coincide and are read off the final residual reachability; the
-flow's own paths, one through each separator edge, come with the separator.
+The path finder runs one unit-capacity flow, a search forest per round,
+then one path decomposition, in a deterministic (ascending id) search
+order.  L(H) itself is never built: vertex-disjoint paths in L(H) are the
+paths of the vertex-edge incidence network of H that share no edge node,
+where each edge node has capacity one and each vertex is an uncapacitated
+hub standing in for the clique that L(H) has at it.  The minimum
+separators of the two coincide and are read off the last search's reach;
+the flow's own paths, one through each separator edge, come with them.
 
 The network is two plain lists, ``out`` and ``head`` (see ``network``);
 a call's flow is a third, ``cap``, and the flow on an arc is read from its
@@ -113,41 +113,46 @@ def _max_flow(
     ends: set[int],
     k: int,
 ) -> tuple[int, list[int]]:
-    """Augment along shortest start-end paths until k units flow or none is
-    left.
+    """Augment a search forest per round until k units flow or none is left.
 
-    Each search scans the starts first, in the order given, and stops once
-    it has scanned an end node; so no unit ever leaves an end node.  Returns
-    the flow value and the last search's marks: when the value is below k,
-    the nodes x with ``mark[x] != -1`` are the residual reach of the starts,
-    the start side of a minimum cut.
+    A round is one breadth-first search from the starts, in the order given.
+    Each node joins the tree of the start that reached it first, and a tree
+    stops at its first end node, so no unit leaves an end node.  The trees
+    share no node, so the round augments each tree that reached an end, in
+    the order they did, up to k units.  Returns the flow value and the last
+    search's marks: below k, that search reached no end, and its marked
+    nodes (``mark[x] != -1``) are the start side of a minimum cut.
     """
     flow = 0
-    mark: list[int] = []
-    while flow < k:
+    while True:
         # mark[x] is the arc that reached x, -2 at a start, -1 if unreached
         mark = [-1] * len(out)
+        tree = mark.copy()  # tree[x] is the start whose tree x joined
         for x in starts:
-            mark[x] = -2
+            mark[x], tree[x] = -2, x
+        reached: dict[int, int] = {}  # tree -> the end it stopped at
         queue = list(starts)
         for x in queue:
+            t = tree[x]
+            if x in ends:
+                reached.setdefault(t, x)
+            if t in reached:
+                continue
             for j in out[x]:
                 if cap[j]:
                     b = head[j]
                     if mark[b] == -1:
-                        mark[b] = j
+                        mark[b], tree[b] = j, t
                         queue.append(b)
-            if x in ends:
-                break
-        else:
+        for x in list(reached.values())[: k - flow]:
+            while mark[x] != -2:
+                j = mark[x]
+                cap[j] -= 1
+                cap[j ^ 1] += 1
+                x = head[j ^ 1]
+            flow += 1
+        if flow == k or not reached:
             return flow, mark
-        while mark[x] != -2:
-            j = mark[x]
-            cap[j] -= 1
-            cap[j ^ 1] += 1
-            x = head[j ^ 1]
-        flow += 1
-    return flow, mark
 
 
 def _peel(

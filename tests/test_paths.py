@@ -1,8 +1,10 @@
 """Disjoint path systems and minimum separators."""
 
+import importlib.util
 import sys
 import threading
 from itertools import combinations
+from pathlib import Path
 from unittest import mock
 
 import pytest
@@ -10,6 +12,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from kempe_minors import paths
+from kempe_minors.corpus import sample_transversals, standard_corpus
 from kempe_minors.errors import InvalidInputError, UnknownEdgeIdError
 from kempe_minors.graph import Multigraph, contract, edge, edge_components
 from kempe_minors.paths import (
@@ -21,7 +24,9 @@ from kempe_minors.paths import (
     disjoint_paths_or_separator,
     network,
 )
+from kempe_minors.solver import solve
 from linegraph import line_graph
+from referenceflow import reference_max_flow
 
 
 def grid_2x3():
@@ -390,9 +395,11 @@ class TestIncidenceNetwork:
     @settings(max_examples=100, deadline=None)
     @given(graphs_with_isolated_vertices(), st.data())
     def test_starts_and_ends_act_as_a_source_and_a_sink(self, H, data):
-        # the same network with a source and a sink gives the same flow, the
-        # same minimum cut and, without their source and sink arcs, the
-        # same paths
+        # the same network with a source and a sink gives the same flow and
+        # the same minimum cut.  The paths may differ: a single source grows
+        # one search tree where the starts grow one each.  So the multi-start
+        # paths are checked on their own: flow many start-end arc paths that
+        # share no edge node, each stopping at its first end node
         us, ts, k = draw_call(H, data, 5)
         out, head, cap = arc_by_arc_network(H)
         starts, ends = terminals(H, us, ts)
@@ -405,8 +412,72 @@ class TestIncidenceNetwork:
         if flow < k:
             assert [x != -1 for x in mark] == [x != -1 for x in s_mark[:src]]
         peeled = _peel(out, head, cap, starts, ends)
-        s_peeled = rescan_peel(s_out, s_head, s_cap, [src] * flow, {snk})
-        assert peeled == [arcs[1:-1] for arcs in s_peeled]
+        assert len(peeled) == flow
+        edge_nodes = []
+        for arcs in peeled:
+            nodes = [head[arcs[0] ^ 1]] + [head[j] for j in arcs]
+            assert nodes[0] in starts
+            assert all(head[a] == head[b ^ 1] for a, b in zip(arcs, arcs[1:]))
+            assert nodes[-1] in ends
+            assert not ends.intersection(nodes[:-1])
+            edge_nodes += [x for x in nodes if x < 2 * len(H.edge_ids)]
+        assert len(edge_nodes) == len(set(edge_nodes))
+
+
+def benchmark_workloads():
+    """The benchmark's workload module, ``perfbench/workloads.py``."""
+    path = Path(__file__).parents[1] / "perfbench" / "workloads.py"
+    spec = importlib.util.spec_from_file_location("workloads", path)
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module
+
+
+class TestReferenceFlow:
+    """The forest flow gives the value of the one-path-per-search flow it
+    replaced and, below k, the same residual reach of the starts, so the
+    same minimum cut; only the choice among maximum flows may differ."""
+
+    @staticmethod
+    def checked_flow(out, head, cap, starts, ends, k):
+        """``_max_flow``, run beside the reference on a copy of ``cap``."""
+        rest = cap.copy()
+        flow, mark = _max_flow(out, head, cap, starts, ends, k)
+        want, want_mark = reference_max_flow(out, head, rest, starts, ends, k)
+        assert flow == want
+        if flow < k:
+            assert [x != -1 for x in mark] == [x != -1 for x in want_mark]
+        return flow, mark
+
+    @settings(max_examples=200, deadline=None)
+    @given(graphs_with_isolated_vertices(), st.data())
+    def test_small_graphs(self, H, data):
+        us, ts, k = draw_call(H, data, 5)
+        out, head, cap = arc_by_arc_network(H)
+        self.checked_flow(out, head, cap, *terminals(H, us, ts), k)
+
+    def test_every_flow_of_a_corpus_and_a_ladder_pass(self):
+        # every flow the solver makes on one criterion-1 pass and on one
+        # size-ladder pass of the benchmark, at seed 0
+        below_k = []
+
+        def recording(*args):
+            flow, mark = self.checked_flow(*args)
+            below_k.append(flow < args[-1])
+            return flow, mark
+
+        workloads = benchmark_workloads()
+        with mock.patch.object(paths, "_max_flow", recording):
+            for _, (H, part) in standard_corpus():
+                for T in sample_transversals(part, 50, seed=0):
+                    solve(H, part, T)
+            corpus = below_k.copy()
+            for op in workloads.size_ladder(0, {}):
+                assert workloads.document_op(op)[0]
+        # one flow per menger step and two per separator step, the first of
+        # which is below k; each of the 66 ladder ops makes one flow
+        assert (len(corpus), sum(corpus)) == (3181 + 2 * 227, 227)
+        assert len(below_k) == len(corpus) + 66
 
 
 class TestNetworkTemplate:
