@@ -118,10 +118,10 @@ def _max_flow(
     A round is one breadth-first search from the starts, in the order given.
     Each node joins the tree of the start that reached it first, and a tree
     stops at its first end node, so no unit leaves an end node.  The trees
-    share no node, so the round augments each tree that reached an end, in
-    the order they did, up to k units.  Returns the flow value and the last
-    search's marks: below k, that search reached no end, and its marked
-    nodes (``mark[x] != -1``) are the start side of a minimum cut.
+    share no node, so the round augments every tree that reached an end, in
+    that order, up to k units.  Returns the flow value and the last search's
+    marks: below k, that search reached no end, and its marked nodes
+    (``mark[x] != -1``) are the start side of a minimum cut.
     """
     flow = 0
     while True:
