@@ -1,7 +1,8 @@
 """Command-line interface.
 
 Exit codes: 0 success/accept, 1 reject/infeasible, 2 usage or document
-error, 3 internal assertion failure.
+error, 3 internal assertion failure.  Documents are read, and output files
+written, as UTF-8.
 """
 
 from __future__ import annotations
@@ -87,7 +88,7 @@ def _cmd_solve(args) -> int:
         return EXIT_USAGE
     bags, trace = solve(H, part, T)
     Path(args.output).write_text(
-        emit_solution(bags, trace if args.trace else None)
+        emit_solution(bags, trace if args.trace else None), encoding="utf-8"
     )
     print(f"solved: {len(bags)} bags -> {args.output}")
     return EXIT_OK
@@ -140,7 +141,7 @@ def _cmd_oracle(args) -> int:
 
 def _cmd_linegraph(args) -> int:
     H, _part, _T = _read(args.instance, parse_instance)
-    Path(args.output).write_text(line_graph_to_dot(H))
+    Path(args.output).write_text(line_graph_to_dot(H), encoding="utf-8")
     print(f"wrote {args.output}")
     return EXIT_OK
 
@@ -157,7 +158,7 @@ def _cmd_generate(args) -> int:
         H, part = delete_vertex(h, p, args.vertex)
     else:
         H, part = k4_seed()
-    Path(args.output).write_text(emit_instance(H, part))
+    Path(args.output).write_text(emit_instance(H, part), encoding="utf-8")
     print(f"wrote {args.output}")
     return EXIT_OK
 

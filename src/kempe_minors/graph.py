@@ -186,11 +186,6 @@ class Multigraph:
 
     # -- derived graphs ------------------------------------------------------
 
-    def without_edges(self, F: Iterable[EdgeId]) -> "Multigraph":
-        drop = set(F)
-        number_ends(self, drop)
-        return Multigraph(self._at, (e for e in self.edges() if e.id not in drop))
-
     def without_vertex(self, v: VertexId) -> "Multigraph":
         self.edges_at(v)
         return Multigraph(

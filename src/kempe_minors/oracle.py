@@ -10,6 +10,7 @@ because each bag must hold exactly one of them.
 
 from __future__ import annotations
 
+import sys
 from dataclasses import dataclass
 from itertools import combinations
 from typing import Iterable, Optional
@@ -36,7 +37,8 @@ def oracle_solve(
 ) -> Optional[BagSystem]:
     """Search all assignments; None means the full space is infeasible.
 
-    Raises BudgetExceededError when the state cap is hit first.
+    Raises BudgetExceededError when the state cap is hit first, or when the
+    search, one level per edge outside T, outgrows the recursion limit.
     """
     ts = sorted(set(T))
     number_ends(H, ts)
@@ -101,4 +103,10 @@ def oracle_solve(
                 return found
         return dfs(idx + 1)  # "unused" branch last
 
-    return dfs(0)
+    try:
+        return dfs(0)
+    except RecursionError:
+        raise BudgetExceededError(
+            f"search over {len(free)} free edges is deeper than the recursion "
+            f"limit ({sys.getrecursionlimit()})"
+        ) from None

@@ -225,16 +225,11 @@ def _solve_with_parallel(
         trace.append(TraceStep("parallel", {"case": "pairwise-incident-T"}))
         return [frozenset({t}) for t in sorted(ts)]
 
-    singles = sorted(i for i in others if len(classes[i]) == 1)
-    if singles:
-        # Peel a singleton class: its edge is incident with every other
-        # edge, so it can rejoin as its own bag after recursing without it.
-        i = singles[0]
-        (g,) = classes[i]
+    # A singleton class's edge meets every other edge, so it rejoins as a bag
+    # of its own: all are peeled at once, as one class per level would be.
+    singles = [classes[i] for i in others if len(classes[i]) == 1]
+    for (g,) in singles:
         trace.append(TraceStep("parallel", {"case": "peel-singleton", "edge": g}))
-        rest = [c for j, c in enumerate(classes) if j != i]
-        sub = _solve_rec(H.without_edges({g}), rest, ts - {g}, trace)
-        return sub + [frozenset({g})]
 
     two = [i for i in others if len(classes[i]) == 2]
     ell = len(two)
@@ -270,7 +265,7 @@ def _solve_with_parallel(
     trace.append(
         TraceStep("parallel", {"case": f"ell={ell}", "pair": (e, f), "big_bag": big})
     )
-    return bags
+    return bags + singles[::-1]
 
 
 # ---------------------------------------------------------------------------

@@ -1,19 +1,26 @@
 """The command-line interface, driven mostly in process via main()."""
 
 import json
+import os
 import re
 import shlex
 import shutil
 import subprocess
+import sys
+from itertools import combinations
 from pathlib import Path
 
 import pytest
 
+import kempe_minors
 from kempe_minors import solver
 from kempe_minors.cli import EXIT_INTERNAL, EXIT_OK, EXIT_REJECT, EXIT_USAGE, main
+from kempe_minors.coloring import MatchingPartition
 from kempe_minors.errors import InternalAssertionError
 from kempe_minors.generators import gen_circulant, k4_seed
+from kempe_minors.graph import Multigraph, edge
 from kempe_minors.serialization import emit_instance
+from test_oracle import deep_search_instance, recursion_limit
 
 
 def write_instance(path, H, part, T=None):
@@ -310,6 +317,16 @@ class TestOracleCommand:
         inst = write_instance(tmp_path / "c.json", H, part)
         assert main(["oracle", "-i", inst, "--max-edges", "12"]) == EXIT_REJECT
 
+    def test_search_deeper_than_the_recursion_limit_is_a_usage_error(
+        self, tmp_path, capsys
+    ):
+        H, part, T = deep_search_instance()
+        inst = write_instance(tmp_path / "c.json", H, part, T)
+        with recursion_limit(250):
+            code = main(["oracle", "-i", inst, "--max-edges", "5000"])
+        assert code == EXIT_USAGE
+        assert capsys.readouterr().err.startswith("error: search over 300 free edges")
+
     @pytest.mark.parametrize("cap", ["0", "-3"])
     def test_non_positive_edge_cap_is_a_usage_error(self, tmp_path, capsys, cap):
         inst = k4_instance(tmp_path)
@@ -325,6 +342,26 @@ class TestLineGraphCommand:
         out = tmp_path / "L.dot"
         assert main(["linegraph", "-i", inst, "-o", str(out)]) == EXIT_OK
         assert out.read_text().startswith("graph L {")
+
+    def test_output_is_utf8_under_an_ascii_locale(self, tmp_path):
+        # K_4 with a vertex é; each edge id names its ends
+        names = ["a", "b", "c", "é"]
+        H = Multigraph(names, [edge(u + v, u, v) for u, v in combinations(names, 2)])
+        part = MatchingPartition.of([{"ab", "cé"}, {"ac", "bé"}, {"aé", "bc"}])
+        inst = write_instance(tmp_path / "k4.json", H, part)
+        out = tmp_path / "L.dot"
+        src = str(Path(kempe_minors.__file__).parents[1])
+        env = dict(os.environ, LC_ALL="C", PYTHONCOERCECLOCALE="0", PYTHONPATH=src)
+        env.pop("PYTHONUTF8", None)
+        proc = subprocess.run(
+            [sys.executable, "-X", "utf8=0", "-m", "kempe_minors.cli", "linegraph",
+             "-i", inst, "-o", str(out)],
+            capture_output=True,
+            text=True,
+            env=env,
+        )
+        assert proc.returncode == EXIT_OK, proc.stderr
+        assert '"cé"' in out.read_bytes().decode("utf-8")
 
 
 class TestCorpusRun:

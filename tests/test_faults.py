@@ -102,7 +102,7 @@ def without_edge(eid):
 
     def lossy(H, F):
         H_far, w = contract(H, F)
-        return H_far.without_edges({eid}), w
+        return Multigraph(H_far.vertices, (e for e in H_far.edges() if e.id != eid)), w
 
     return lossy
 

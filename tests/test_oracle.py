@@ -1,14 +1,35 @@
 """The exhaustive finder: ground truth on small instances."""
 
+import sys
+from contextlib import contextmanager
+
 import pytest
 
 from kempe_minors.errors import BudgetExceededError, InvalidInputError
-from kempe_minors.generators import k4_seed
+from kempe_minors.generators import gen_circulant, k4_seed
 from kempe_minors.graph import Multigraph, edge
 from kempe_minors.oracle import OracleBudget, oracle_solve
 from kempe_minors.solver import solve, verify_solution
 from kempe_minors.coloring import MatchingPartition
 from completegraph import complete_graph
+
+
+@contextmanager
+def recursion_limit(limit):
+    """Run the block under a lower recursion limit, restored after it."""
+    old = sys.getrecursionlimit()
+    sys.setrecursionlimit(limit)
+    try:
+        yield
+    finally:
+        sys.setrecursionlimit(old)
+
+
+def deep_search_instance():
+    """A 305-edge circulant with one transversal: 300 free edges, so the
+    search goes one level per free edge past a recursion limit of 250."""
+    H, part = gen_circulant(61, (0, 1, 2, 3, 4))
+    return H, part, frozenset(min(c) for c in part.classes)
 
 
 def k5_edge(u, v):
@@ -55,6 +76,13 @@ class TestOracle:
             oracle_solve(
                 H, {"e01", "e02", "e03"}, OracleBudget(max_assignments=3)
             )
+
+    def test_search_deeper_than_the_recursion_limit_is_over_budget(self):
+        H, _, T = deep_search_instance()
+        budget = OracleBudget(max_edges=5000)
+        with recursion_limit(250):
+            with pytest.raises(BudgetExceededError, match=r"recursion limit \(250\)"):
+                oracle_solve(H, T, budget)
 
     def test_rejects_empty_prescription(self):
         H, _ = k4_seed()
