@@ -278,6 +278,9 @@ def main(argv=None) -> int:
 
 
 def entry() -> None:
+    # messages name ids from the documents; escape what the locale cannot
+    # encode, as Python already does on standard error
+    sys.stdout.reconfigure(errors="backslashreplace")
     sys.exit(main())
 
 

@@ -155,36 +155,27 @@ def _solve_base(
     if k == 1:
         (t,) = ts
         return [frozenset({t})]
-    # k == 2: the whole edge set is one path or cycle.  Walk it and cut it
-    # into two contiguous runs, one transversal edge each; the runs meet at
-    # a cut vertex, hence they are incident.
-    all_edges = classes[0] | classes[1]
-    deg: dict[VertexId, list[EdgeId]] = {}
-    for eid in sorted(all_edges):
-        for v in H.edge(eid).ends:
-            deg.setdefault(v, []).append(eid)
-    endpoints = sorted(v for v, ids in deg.items() if len(ids) == 1)
-    _require(
-        all(len(ids) <= 2 for ids in deg.values()),
-        "two-matching union has a vertex of degree > 2",
-    )
-    start = endpoints[0] if endpoints else min(deg)
+    # k == 2 only at the top level, so the classes partition E(H), which is
+    # one path or cycle.  Walk it from its least end (a cycle from its least
+    # vertex) and cut it into two contiguous runs, one transversal edge each;
+    # the runs meet at a cut vertex, hence they are incident.
+    _require(max(H.degrees()) <= 2, "two-matching union has a vertex of degree > 2")
+    end = H.least_vertex_of_degree(1)
+    v = end if end is not None else H.least_vertex_of_degree(2)
     walk: list[EdgeId] = []
     used: set[EdgeId] = set()
-    v = start
     while True:
-        nxt = [e for e in deg[v] if e not in used]
-        if not nxt:
+        eid = next((e for e in H.edges_at(v) if e not in used), None)
+        if eid is None:
             break
-        eid = min(nxt)
         walk.append(eid)
         used.add(eid)
         v = H.edge(eid).other(v)
-    _require(len(walk) == len(all_edges), "two-matching union is not connected")
-    pos = sorted(walk.index(t) for t in ts)
+    _require(len(walk) == H.num_edges(), "two-matching union is not connected")
+    pos = [n for n, eid in enumerate(walk) if eid in ts]
     _require(len(pos) == 2, "transversal does not hit the pair union twice")
     i, j = pos
-    if endpoints:
+    if end is not None:
         first, second = walk[: i + 1], walk[i + 1:]
     else:
         first, second = walk[i:j], walk[j:] + walk[:i]
@@ -235,25 +226,21 @@ def _solve_with_parallel(
     ell = len(two)
     _require(2 <= ell <= 3, f"unclassified parallel structure (ell={ell})")
 
-    def side_edges(i: int, at: VertexId) -> EdgeId:
-        hits = [eid for eid in sorted(classes[i]) if H.edge(eid).covers(at)]
+    def side_edge(i: int, at: VertexId) -> EdgeId:
+        hits = classes[i].intersection(H.edges_at(at))
         _require(len(hits) == 1, f"class {i} does not split across the parallel pair")
-        return hits[0]
+        return min(hits)
 
-    def layout(x0: VertexId, y0: VertexId):
-        xe = {i: side_edges(i, x0) for i in two}
-        ye = {i: side_edges(i, y0) for i in two}
-        a = {i: H.edge(xe[i]).other(x0) for i in two}
-        b = {i: H.edge(ye[i]).other(y0) for i in two}
-        t_at_x = [i for i in two if (ts & classes[i]) == {xe[i]}]
-        return xe, ye, a, b, t_at_x
-
-    xe, ye, a, b, t_at_x = layout(x, y)
+    xe = {i: side_edge(i, x) for i in two}
+    ye = {i: side_edge(i, y) for i in two}
+    t_at_x = [i for i in two if (ts & classes[i]) == {xe[i]}]
     if len(t_at_x) != 1:
-        xe, ye, a, b, t_at_x = layout(y, x)
+        x, y, xe, ye = y, x, ye, xe
+        t_at_x = [i for i in two if (ts & classes[i]) == {xe[i]}]
     _require(len(t_at_x) == 1, "transversal pattern outside the case analysis")
-    first = t_at_x[0]
-    order = [first]
+    a = {i: H.edge(xe[i]).other(x) for i in two}
+    b = {i: H.edge(ye[i]).other(y) for i in two}
+    order = [t_at_x[0]]
     while len(order) < ell:
         succ = [j for j in two if j not in order and a[j] == b[order[-1]]]
         _require(len(succ) == 1, "two-edge classes do not chain cyclically")
@@ -390,11 +377,9 @@ def _complete_bags(H: Multigraph, ts: frozenset[EdgeId]) -> list[frozenset[EdgeI
             bags += [grown, star]
         else:
             v, xy, level_ts = witnesses
-            holder = [i for i, bag in enumerate(bags) if xy in bag]
-            if not holder:
-                bags.append(star | {xy})
-                continue
-            bag_f = bags.pop(holder[0])
+            # every level's bags cover its graph's edges: K_3's bags are its
+            # three edges and each fix-up keeps its whole star, so xy has one
+            bag_f = bags.pop(next(i for i, bag in enumerate(bags) if xy in bag))
             wz_cands = sorted((bag_f & level_ts) - {xy})
             _require(len(wz_cands) == 1, "bag holds more than one prescribed edge")
             x, y = ends[xy]

@@ -19,7 +19,8 @@ from kempe_minors.coloring import MatchingPartition
 from kempe_minors.errors import InternalAssertionError
 from kempe_minors.generators import gen_circulant, k4_seed
 from kempe_minors.graph import Multigraph, edge
-from kempe_minors.serialization import emit_instance
+from kempe_minors.serialization import emit_instance, emit_solution
+from kempe_minors.solver import BagSystem, solve
 from test_oracle import deep_search_instance, recursion_limit
 
 
@@ -39,6 +40,26 @@ def fault_on_k4(monkeypatch):
         return solve_rec(H, classes, ts, trace)
 
     monkeypatch.setattr(solver, "_solve_rec", faulty)
+
+
+def k4_with_e_acute():
+    """K_4 with a vertex é; each edge id names its ends."""
+    names = ["a", "b", "c", "é"]
+    H = Multigraph(names, [edge(u + v, u, v) for u, v in combinations(names, 2)])
+    return H, MatchingPartition.of([{"ab", "cé"}, {"ac", "bé"}, {"aé", "bc"}])
+
+
+def run_under_an_ascii_locale(*argv):
+    """The CLI in a fresh interpreter whose locale encodes only ASCII."""
+    src = str(Path(kempe_minors.__file__).parents[1])
+    env = dict(os.environ, LC_ALL="C", PYTHONCOERCECLOCALE="0", PYTHONPATH=src)
+    env.pop("PYTHONUTF8", None)
+    return subprocess.run(
+        [sys.executable, "-X", "utf8=0", "-m", "kempe_minors.cli", *argv],
+        capture_output=True,
+        text=True,
+        env=env,
+    )
 
 
 def k4_instance(tmp_path, with_transversal=True):
@@ -74,6 +95,31 @@ class TestSolveAndCheck:
         out.write_text(json.dumps(doc))
         assert main(["check", "-i", inst, "-s", str(out)]) == EXIT_REJECT
         assert "reject" in capsys.readouterr().out
+
+    def test_check_escapes_ids_under_an_ascii_locale(self, tmp_path):
+        H, part = k4_with_e_acute()
+        T = {"aé", "bé", "cé"}
+        inst = write_instance(tmp_path / "k4.json", H, part, T)
+        bags, _ = solve(H, part, T)
+        missing = BagSystem(tuple(b for b in bags.bags if "cé" not in b))
+        sol = tmp_path / "solution.json"
+        sol.write_text(emit_solution(missing), encoding="utf-8")
+        proc = run_under_an_ascii_locale("check", "-i", inst, "-s", str(sol))
+        assert proc.returncode == EXIT_REJECT, proc.stderr
+        assert proc.stdout.splitlines() == [
+            "reject: 2 bags for 3 classes",
+            "reject: transversal edge 'c\\xe9' is in no bag",
+        ]
+        assert proc.stderr == ""
+
+    def test_edgeless_instance_solves(self, tmp_path):
+        inst = tmp_path / "edgeless.json"
+        inst.write_text(
+            json.dumps({"vertices": ["a"], "edges": [], "classes": [], "transversal": []})
+        )
+        out = tmp_path / "solution.json"
+        assert main(["solve", "-i", str(inst), "-o", str(out)]) == EXIT_OK
+        assert json.loads(out.read_text(encoding="utf-8")) == {"bags": []}
 
     def test_internal_assertion_exits_3(self, tmp_path, monkeypatch, capsys):
         inst = k4_instance(tmp_path)
@@ -344,22 +390,10 @@ class TestLineGraphCommand:
         assert out.read_text().startswith("graph L {")
 
     def test_output_is_utf8_under_an_ascii_locale(self, tmp_path):
-        # K_4 with a vertex é; each edge id names its ends
-        names = ["a", "b", "c", "é"]
-        H = Multigraph(names, [edge(u + v, u, v) for u, v in combinations(names, 2)])
-        part = MatchingPartition.of([{"ab", "cé"}, {"ac", "bé"}, {"aé", "bc"}])
+        H, part = k4_with_e_acute()
         inst = write_instance(tmp_path / "k4.json", H, part)
         out = tmp_path / "L.dot"
-        src = str(Path(kempe_minors.__file__).parents[1])
-        env = dict(os.environ, LC_ALL="C", PYTHONCOERCECLOCALE="0", PYTHONPATH=src)
-        env.pop("PYTHONUTF8", None)
-        proc = subprocess.run(
-            [sys.executable, "-X", "utf8=0", "-m", "kempe_minors.cli", "linegraph",
-             "-i", inst, "-o", str(out)],
-            capture_output=True,
-            text=True,
-            env=env,
-        )
+        proc = run_under_an_ascii_locale("linegraph", "-i", inst, "-o", str(out))
         assert proc.returncode == EXIT_OK, proc.stderr
         assert '"cé"' in out.read_bytes().decode("utf-8")
 
@@ -462,7 +496,7 @@ class TestReadmeWalkThrough:
         return re.search(rf"```{lang}\n(.*?)```", text, re.S).group(1)
 
     def test_every_command_runs(self, tmp_path, monkeypatch, capsys):
-        readme = (Path(__file__).parents[1] / "README.md").read_text()
+        readme = (Path(__file__).parents[1] / "README.md").read_text(encoding="utf-8")
         (tmp_path / "inst.json").write_text(self.block(readme, "Instance format", "json"))
         commands = [
             shlex.split(line)

@@ -83,7 +83,7 @@ class TestInstanceRoundTrip:
         assert T2 == T
 
     def test_emitted_text_is_stable(self):
-        readme = (Path(__file__).parents[1] / "README.md").read_text()
+        readme = (Path(__file__).parents[1] / "README.md").read_text(encoding="utf-8")
         section = readme.split("\n## Instance format\n", 1)[1]
         example = re.search(r"```json\n(.*?)```", section, re.S).group(1)
         assert emit_instance(*parse_instance(example)) == README_EXAMPLE
@@ -353,6 +353,19 @@ class TestDiagnostics:
         ) as info:
             parse_solution(text)
         assert info.value.path == "$"
+
+    @pytest.mark.parametrize(
+        "parse, text, message",
+        [
+            (parse_instance, "[]", "$: instance document must be an object"),
+            (parse_solution, '{"bags": {}}', "bags: expected a list"),
+        ],
+        ids=["instance-not-an-object", "bags-not-a-list"],
+    )
+    def test_document_shape_is_located(self, parse, text, message):
+        with pytest.raises(SchemaViolationError) as info:
+            parse(text)
+        assert str(info.value) == message
 
 
 def outcome(parse, text):

@@ -219,6 +219,12 @@ class TestVerifySolution:
 
 
 class TestBaseCases:
+    def test_no_classes(self):
+        H = Multigraph(["a"], [])
+        bags, trace = solve(H, MatchingPartition.of([]), set())
+        assert bags.bags == ()
+        assert trace.kinds() == ("base",)
+
     def test_single_class(self):
         H = Multigraph(["a", "b"], [edge("ab", "a", "b")])
         part = MatchingPartition.of([{"ab"}])
