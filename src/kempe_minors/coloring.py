@@ -8,7 +8,7 @@ from itertools import chain, combinations
 from typing import Iterable
 
 from .errors import UnknownEdgeIdError
-from .graph import EdgeId, Multigraph, VertexId, number_ends, union_find
+from .graph import EdgeId, Multigraph, VertexId, number_ends
 
 
 @dataclass(frozen=True)
@@ -95,23 +95,52 @@ def verify_matching_partition(H: Multigraph, part: MatchingPartition) -> Verdict
 
 
 def verify_kempe(H: Multigraph, part: MatchingPartition) -> Verdict:
-    """Accept iff the union of any two classes is one connected edge set.
+    """Accept iff every class is a matching and the union of any two classes
+    is one connected edge set.
 
-    Stops at the first failing pair; the verdict names it by class indices.
     Every class edge is looked up first, so an unknown edge id raises
     UnknownEdgeIdError naming the least unknown id of the first class that
-    holds one (``graph.number_ends``).  Each pair is checked by one
-    ``graph.union_find`` pass over the two classes' edges, on the vertex
-    numbers H fixed when it was built: the union is connected iff the
-    successful joins number one less than the vertices it covers (an empty
-    union covers none).
+    holds one (``graph.number_ends``).  Each class then gets a ``mate`` list
+    on H's vertex numbers, -1 where it has no edge, and the first class that
+    meets a vertex twice is rejected as not a matching.  Two matchings'
+    union is a set of Kempe chains, paths and even cycles, so it is
+    connected iff the chain through one end of the pair's first edge,
+    walked along the two classes' mates in turn (both ways on a path),
+    holds all the pair's edges.  The verdict names the first failing pair;
+    an empty union is not connected.
     """
     n = len(H.vertices)
     ends = [number_ends(H, cls) for cls in part.classes]
-    covers = [{x for pair in pairs for x in pair} for pairs in ends]
+    mates: list[list[int]] = []
+    for i, pairs in enumerate(ends):
+        mate = [-1] * n
+        for a, b in pairs:
+            mate[a] = b
+            mate[b] = a
+        if mate.count(-1) != n - 2 * len(pairs):
+            return Verdict(False, (f"class {i} is not a matching",))
+        mates.append(mate)
     for i, j in combinations(range(part.k), 2):
-        joins, _ = union_find(n, ends[i] + ends[j])
-        if joins != len(covers[i] | covers[j]) - 1:
+        first = ends[i] or ends[j]
+        walked = 0
+        if first:
+            a = first[0][0]
+            for p, q in ((mates[i], mates[j]), (mates[j], mates[i])):
+                x = a
+                while True:  # along p, then q, until a path ends or x is back at a
+                    x = p[x]
+                    if x < 0:
+                        break
+                    x = q[x]
+                    if x < 0:
+                        walked += 1
+                        break
+                    walked += 2
+                    if x == a:
+                        break
+                if x == a:  # a cycle, walked whole
+                    break
+        if walked == 0 or walked != len(ends[i]) + len(ends[j]):
             return Verdict(False, (f"union of classes {i} and {j} is not connected",))
     return Verdict(True)
 

@@ -5,7 +5,7 @@ pairwise class unions are connected.  Each certifies its output once before
 returning it: the underlying constructions are correct, but the transcription
 deserves the cheap insurance.  Circulants, splices and the K_4 seed are
 certified as perfect 1-factorizations and vertex deletions as near-perfect
-ones, both by the partition, class-size and union-find Kempe checks.
+ones, both by the partition, class-size and Kempe-chain checks.
 """
 
 from __future__ import annotations

@@ -3,9 +3,10 @@
 Edges carry opaque string identifiers that survive contraction: contracting
 an edge set removes exactly those edges and remaps endpoints, it never
 renumbers anything.  Each multigraph numbers its vertices once, by position
-in ``H.vertices``, for every union-find, and records the facts the solver
-asks of every graph: its parallel pair and the least vertex of each degree.
-All values are immutable after construction and all operations are pure.
+in ``H.vertices``, for every union-find and Kempe-chain walk, and records the
+facts the solver asks of every graph: its parallel pair and the least vertex
+of each degree.  All values are immutable after construction and all
+operations are pure.
 """
 
 from __future__ import annotations

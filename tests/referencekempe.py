@@ -1,11 +1,13 @@
-"""verify_kempe as it was before multigraphs numbered their own vertices:
-the tests' reference verdict.
+"""verify_kempe as one union-find pass per class pair: the tests' oracle.
 
-The package's check runs each pair's union-find on the vertex numbers H
-fixed when it was built; this is the check it replaced, which numbered the
-classes' ends into one index of its own, in the order it met them.  It is
-kept so the tests can compare whole verdicts, the first failing pair
-included, on the same partitions.
+The package's check walks each pair's Kempe chain along the two classes'
+mate lists and first rejects a class that is not a matching.  This is the
+general check it replaced: each pair's edges go through ``union_find`` on
+an index of the classes' ends of its own, numbered in the order it met
+them, and the union is connected iff the joins number one less than the
+vertices it covers (an empty union covers none).  It asks nothing of the
+classes, so on every partition into matchings the tests compare whole
+verdicts with it, the first failing pair included.
 """
 
 from itertools import combinations

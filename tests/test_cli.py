@@ -267,7 +267,9 @@ class TestVerify:
         path = tmp_path / "bad.json"
         path.write_text(json.dumps(doc))
         assert main(["verify", "-i", str(path)]) == EXIT_REJECT
-        assert "reject" in capsys.readouterr().out
+        out = capsys.readouterr().out
+        assert "kempe: reject" in out
+        assert "class 0 is not a matching" in out
 
 
 class TestGenerate:

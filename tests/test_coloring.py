@@ -67,6 +67,38 @@ def partitioned_multigraphs(draw):
     return H, MatchingPartition.of(classes)
 
 
+@st.composite
+def matching_partitioned_multigraphs(draw):
+    """A multigraph whose edges are exactly a random partition into k <= 5
+    matchings: each class pairs up a prefix of a shuffled vertex list.
+    Classes may be empty, two classes may join the same two vertices (a
+    digon), and pair unions may be paths, cycles or disconnected."""
+    n = draw(st.integers(min_value=2, max_value=7))
+    names = [f"v{i}" for i in range(n)]
+    k = draw(st.integers(min_value=1, max_value=5))
+    edges, classes = [], []
+    for c in range(k):
+        order = draw(st.permutations(names))
+        size = draw(st.integers(min_value=0, max_value=n // 2))
+        cls = set()
+        for t in range(size):
+            eid = f"e{c}-{t}"
+            edges.append(edge(eid, order[2 * t], order[2 * t + 1]))
+            cls.add(eid)
+        classes.append(cls)
+    return Multigraph(names, edges), MatchingPartition.of(classes)
+
+
+def first_non_matching_class(H, part):
+    """The violation for the first class two of whose edges share an end,
+    by the definition of a matching."""
+    for i, cls in enumerate(part.classes):
+        ends = [v for eid in cls for v in H.edge(eid).ends]
+        if len(set(ends)) != len(ends):
+            return (f"class {i} is not a matching",)
+    return ()
+
+
 def first_disconnected_union(H, part):
     """The Kempe property by its definition: the violation for the first
     pair, in combinations order, whose union is not one edge component."""
@@ -176,8 +208,11 @@ class TestMatchesTheReplacedPartitionCheck:
 
 class TestKempe:
     def test_square_pair_union_connected(self):
+        # the walk goes round the 4-cycle and counts its closing edge,
+        # whichever class it starts along
         H, part = square_with_colors()
         assert verify_kempe(H, part)
+        assert verify_kempe(H, MatchingPartition.of(reversed(part.classes)))
 
     def test_disconnected_union_rejected(self):
         # two disjoint edges in two singleton classes: their union is not
@@ -201,11 +236,85 @@ class TestKempe:
         with pytest.raises(UnknownEdgeIdError, match="^unknown edge id 'xx'$"):
             verify_kempe(H, part)
 
+    def test_digon(self):
+        # parallel edges in two classes: the chain closes after two steps
+        H = Multigraph(["a", "b"], [edge("p", "a", "b"), edge("q", "a", "b")])
+        assert verify_kempe(H, MatchingPartition.of([{"p"}, {"q"}]))
+
+    def test_path_walked_both_ways_from_mid_path(self):
+        # class 0's one edge is the middle of the path w-x-y-z, so the chain
+        # walk starts mid-path and must also walk back from its start
+        H = Multigraph(
+            ["w", "x", "y", "z"],
+            [edge("wx", "w", "x"), edge("xy", "x", "y"), edge("yz", "y", "z")],
+        )
+        assert verify_kempe(H, MatchingPartition.of([{"xy"}, {"wx", "yz"}]))
+
+    def test_empty_class_with_one_edge_class(self):
+        H = Multigraph(["a", "b"], [edge("ab", "a", "b")])
+        assert verify_kempe(H, MatchingPartition.of([set(), {"ab"}]))
+        assert verify_kempe(H, MatchingPartition.of([{"ab"}, set()]))
+
+    def test_two_empty_classes_rejected(self):
+        H = Multigraph(["a", "b"], [edge("ab", "a", "b")])
+        verdict = verify_kempe(H, MatchingPartition.of([{"ab"}, set(), set()]))
+        assert verdict == Verdict(
+            False, ("union of classes 1 and 2 is not connected",)
+        )
+
+    def test_two_disjoint_cycles_rejected(self):
+        # two alternating squares, a-b-c-d and w-x-y-z
+        H = Multigraph(
+            ["a", "b", "c", "d", "w", "x", "y", "z"],
+            [
+                edge(u + v, u, v)
+                for u, v in ("ab", "bc", "cd", "da", "wx", "xy", "yz", "zw")
+            ],
+        )
+        part = MatchingPartition.of([{"ab", "cd", "wx", "yz"}, {"bc", "da", "xy", "zw"}])
+        verdict = verify_kempe(H, part)
+        assert verdict == Verdict(
+            False, ("union of classes 0 and 1 is not connected",)
+        )
+        assert verdict == reference_verify_kempe(H, part)
+
+    def test_cycle_plus_path_rejected(self):
+        # the square a-b-c-d and the path w-x-y, whichever the walk starts in
+        H = Multigraph(
+            ["a", "b", "c", "d", "w", "x", "y"],
+            [edge(u + v, u, v) for u, v in ("ab", "bc", "cd", "da", "wx", "xy")],
+        )
+        for classes in (
+            [{"ab", "cd", "wx"}, {"bc", "da", "xy"}],
+            [{"ab", "cd", "xy"}, {"bc", "da", "wx"}],
+            [{"wx"}, {"xy", "ab"}, {"bc", "da"}, {"cd"}],
+        ):
+            part = MatchingPartition.of(classes)
+            verdict = verify_kempe(H, part)
+            assert not verdict, classes
+            assert verdict == reference_verify_kempe(H, part)
+
+    def test_non_matching_class_named(self):
+        H, _ = square_with_colors()
+        part = MatchingPartition.of([{"ab", "cd"}, {"bc"}, {"ad", "ab"}, {"cd", "bc"}])
+        assert verify_kempe(H, part) == Verdict(False, ("class 2 is not a matching",))
+
+    def test_unknown_id_after_non_matching_class_raises(self):
+        # every class's ends are numbered before any class is judged
+        H, _ = square_with_colors()
+        part = MatchingPartition.of([{"ab", "bc"}, {"cd", "zz"}])
+        with pytest.raises(UnknownEdgeIdError, match="^unknown edge id 'zz'$"):
+            verify_kempe(H, part)
+
     @settings(max_examples=300, deadline=None)
     @given(partitioned_multigraphs())
     def test_agrees_with_definition(self, instance):
+        # the first class that is not a matching, else the first pair whose
+        # union is disconnected
         H, part = instance
-        expected = first_disconnected_union(H, part)
+        expected = first_non_matching_class(H, part) or first_disconnected_union(
+            H, part
+        )
         verdict = verify_kempe(H, part)
         assert verdict.ok == (not expected)
         assert verdict.violations == expected
@@ -213,7 +322,16 @@ class TestKempe:
     @settings(max_examples=300, deadline=None)
     @given(partitioned_multigraphs())
     def test_matches_the_replaced_check(self, instance):
-        # non-Kempe partitions included: the first failing pair is the same
+        # a class that is not a matching is named first; on the rest the
+        # first failing pair is the replaced check's
+        H, part = instance
+        bad = first_non_matching_class(H, part)
+        expected = Verdict(False, bad) if bad else reference_verify_kempe(H, part)
+        assert verify_kempe(H, part) == expected
+
+    @settings(max_examples=500, deadline=None)
+    @given(matching_partitioned_multigraphs())
+    def test_matching_partitions_match_the_union_find_check(self, instance):
         H, part = instance
         assert verify_kempe(H, part) == reference_verify_kempe(H, part)
 
