@@ -72,8 +72,8 @@ class Multigraph:
     Instances support weak references.  Their immutability, vertex numbers
     included, is load-bearing: ``solver.solve``'s one memo, keyed weakly on
     the graph object, keeps the partition that last passed the instance
-    checks together with the graph's flow network, and drops both with the
-    graph.  No slot is written after construction.
+    checks and drops it with the graph.  No slot is written after
+    construction.
     """
 
     __slots__ = (

@@ -2,24 +2,26 @@
 
 The path finder runs one unit-capacity flow, a search forest per round,
 then one path decomposition, in a deterministic (ascending id) search
-order.  L(H) itself is never built: vertex-disjoint paths in L(H) are the
-paths of the vertex-edge incidence network of H that share no edge node,
-where each edge node has capacity one and each vertex is an uncapacitated
-hub standing in for the clique that L(H) has at it.  The minimum
-separators of the two coincide and are read off the last search's reach;
-the flow's own paths, one through each separator edge, come with them.
+order.  L(H) itself is never built: each vertex of H is an uncapacitated
+hub standing in for the clique that L(H) has at it, and each edge of H an
+undirected unit arc pair between its two hubs, so vertex-disjoint paths in
+L(H) are the flow paths that share no edge.  Only the edges of U and T
+need nodes, as starts and ends, and get an in-node and an out-node joined
+by a unit arc.  The minimum separators of L(H) and the network coincide
+and are read off the last search's reach; the flow's own paths, one
+through each separator edge, come with them.
 
-The network is two plain lists, ``out`` and ``head`` (see ``network``);
-a call's flow is a third, ``cap``, and the flow on an arc is read from its
-reverse arc.  The network has no source or sink: U enters the flow as its
-start nodes and T as its end nodes.  So the network depends on H alone and
-no call writes to it: a caller may build it once and pass it to every call
-on H, from any thread.  The module keeps no state.  The arc ids and each
-node's arc order fix the search order, hence every path, separator and bag.
+Each call builds its own network, three plain lists ``out``, ``head`` and
+``cap`` (see ``network``), and the flow on an arc is read from its
+reverse arc against the capacities as built.  The network has no source or
+sink: U enters the flow as its start nodes and T as its end nodes.  The
+module keeps no state.  The arc ids and each node's arc order fix the
+search order, hence every path, separator and bag.
 """
 
 from __future__ import annotations
 
+from bisect import bisect_left
 from dataclasses import dataclass
 from typing import Iterable, Sequence, Union
 
@@ -59,50 +61,48 @@ class Separator:
 _INF = 1 << 30
 
 
-def network(H: Multigraph) -> tuple[list[Sequence[int]], list[int], dict[EdgeId, int]]:
-    """The vertex-edge incidence network of H.
+def network(
+    H: Multigraph, split: Sequence[EdgeId]
+) -> tuple[list[Sequence[int]], list[int], list[int]]:
+    """H's flow network, with node pairs for the edges of ``split``.
 
-    Returns ``(out, head, index)``: the network and each edge id's
-    position.  ``head[j]`` is the end of arc ``j``, ``j ^ 1`` its
-    reverse, ``out[x]`` node x's arcs in search order.
+    ``split`` holds edge ids of H in ascending order.  Returns ``(out,
+    head, cap)``: ``head[j]`` is the end of arc ``j``, ``j ^ 1`` its
+    reverse, ``out[x]`` node x's arcs in ascending id order and ``cap`` the
+    capacities as built.
 
-    Nodes: edge i of ``H.edge_ids`` is in_i = 2i and out_i = 2i+1, and the
-    hub of H's vertex number x (``graph.number_ends``) is 2m + x.  Arcs, in
-    id order, each with an even id and an empty reverse:
+    Nodes: H's vertex numbers (``graph.number_ends``) are the hubs 0..n-1,
+    and ``split[r]`` is in-node n + 2r and out-node n + 2r + 1.  Arcs, in
+    id order:
 
-    - ``2i``, ``2i+1``: in_i -> out_i of capacity 1, and its reverse; a
-      minimum cut therefore consists of these arcs;
-    - from ``j = 2m + 8i``, four per end of edge i, first end first:
-      out_i -> hub, its reverse, hub -> in_i, its reverse, uncapacitated.
-
-    Every node lists its arcs in ascending id order: ``out[2i]`` is the
-    tuple ``(2i, j+3, j+7)``, ``out[2i+1]`` the tuple ``(2i+1, j, j+4)``,
-    and each hub's list gets ``j+1, j+2`` or ``j+5, j+6`` per incident
-    edge, in edge order.  The arcs are filled by list operations, not arc
-    by arc.
+    - ``2i``, ``2i+1`` for edge i of ``H.edge_ids``: from its first end's
+      hub to its second's and back, capacity 1 each, or for an edge of
+      ``split`` in -> out and back, capacity 1 and 0; a minimum cut
+      therefore consists of these arcs;
+    - from ``j = 2m + 8r``, four per end of ``split[r]``, first end first:
+      out -> hub, its reverse, hub -> in, its reverse, uncapacitated.
     """
-    ends = number_ends(H, H.edge_ids)
-    m = len(ends)
-    first = [2 * m + x for x, _ in ends]
-    second = [2 * m + y for _, y in ends]
-    ins = range(0, 2 * m, 2)
-    outs = range(1, 2 * m, 2)
-    js = range(2 * m, 10 * m, 8)
-    head = [0] * (10 * m)
-    head[0 : 2 * m : 2] = outs
-    head[1 : 2 * m : 2] = ins
-    columns = (first, outs, ins, first, second, outs, ins, second)
-    for offset, column in enumerate(columns):
-        head[2 * m + offset :: 8] = column
-    out = [
-        arcs for x, j in zip(ins, js) for arcs in ((x, j + 3, j + 7), (x + 1, j, j + 4))
-    ]
-    out += [[] for _ in H.vertices]
-    for j, a, b in zip(js, first, second):
+    eids = H.edge_ids
+    ends = number_ends(H, eids)
+    at = [bisect_left(eids, eid) for eid in split]
+    skip = set(at)
+    out: list[Sequence[int]] = [[] for _ in H.vertices]
+    for i, (a, b) in enumerate(ends):
+        if i not in skip:
+            out[a].append(2 * i)
+            out[b].append(2 * i + 1)
+    head = [x for a, b in ends for x in (b, a)]
+    cap = [1] * len(head)
+    for i in at:
+        a, b = ends[i]
+        x, j = len(out), len(head)
+        head[2 * i], head[2 * i + 1], cap[2 * i + 1] = x + 1, x, 0
+        head += (a, x + 1, x, a, b, x + 1, x, b)
+        cap += (_INF, 0) * 4
+        out += ((2 * i, j + 3, j + 7), (2 * i + 1, j, j + 4))
         out[a] += (j + 1, j + 2)
         out[b] += (j + 5, j + 6)
-    index = {eid: i for i, eid in enumerate(H.edge_ids)}
-    return out, head, index
+    return out, head, cap
 
 
 def _max_flow(
@@ -159,31 +159,31 @@ def _peel(
     out: list[Sequence[int]],
     head: list[int],
     cap: list[int],
+    base: list[int],
     starts: list[int],
     ends: set[int],
 ) -> list[list[int]]:
     """Peel the flow into start-end paths, as arc lists, one per start that
     sends a unit, in the order of ``starts``.
 
-    Every arc was built with an even id and an empty reverse, and
-    augmenting keeps ``cap[j] + cap[j ^ 1]`` fixed, so the flow on an even
-    arc j is ``cap[j ^ 1]`` and an odd arc carries none.  A start sends at
-    most one unit and none enters it; a walk ends at the first end node it
-    reaches, which no unit leaves.  Each step consumes one unit.  A walk
-    that returns to a node splices out the loop, whose arcs stay consumed,
-    so every path is simple.  Scans resume at a per-node cursor: peeling
-    only lowers flows, so a skipped arc stays skipped and a chosen one stays
-    first until used up.
+    Augmenting keeps ``cap[j] + cap[j ^ 1]`` fixed, so the flow on arc j is
+    ``cap[j ^ 1] - base[j ^ 1]``, against the capacities ``base`` as built.
+    A start sends at most one unit and none enters it; a walk ends at the
+    first end node it reaches, which no unit leaves.  Each step consumes
+    one unit.  A walk that returns to a node splices out the loop, whose
+    arcs stay consumed, so every path is simple.  Scans resume at a
+    per-node cursor: peeling only lowers flows, so a skipped arc stays
+    skipped and a chosen one stays first until used up.
     """
     pos = [0] * len(out)
     paths: list[list[int]] = []
     for s in starts:
-        if not any(cap[j ^ 1] for j in out[s] if not j & 1):
+        if all(cap[j ^ 1] <= base[j ^ 1] for j in out[s]):
             continue
         nodes, arcs = [s], []
         while nodes[-1] not in ends:
             row, i = out[nodes[-1]], pos[nodes[-1]]
-            while row[i] & 1 or not cap[row[i] ^ 1]:
+            while cap[row[i] ^ 1] <= base[row[i] ^ 1]:
                 i += 1
             pos[nodes[-1]], j = i, row[i]
             cap[j ^ 1] -= 1
@@ -200,11 +200,7 @@ def _peel(
 
 
 def disjoint_paths_or_separator(
-    H: Multigraph,
-    U: Iterable[EdgeId],
-    T: Iterable[EdgeId],
-    k: int,
-    net: tuple | None = None,
+    H: Multigraph, U: Iterable[EdgeId], T: Iterable[EdgeId], k: int
 ) -> Union[PathSystem, Separator]:
     """Find k vertex-disjoint U,T-paths in L(H) or a minimum U,T-separator.
 
@@ -214,8 +210,7 @@ def disjoint_paths_or_separator(
     T-edge, so it meets T exactly once.  On failure the returned separator
     has minimum cardinality (hence fewer than k edges) and every U,T-path
     of L(H) meets it; its paths are the flow's, one per separator edge,
-    each truncated at its first separator edge.  ``net`` must be
-    ``network(H)``; it is built when None.
+    each truncated at its first separator edge.
     """
     us = frozenset(U)
     ts = frozenset(T)
@@ -227,18 +222,22 @@ def disjoint_paths_or_separator(
 
     eids = H.edge_ids
     m = len(eids)
-    out, head, index = net or network(H)
-    starts = [2 * index[u] for u in sorted(us)]
-    ends = {2 * index[t] + 1 for t in ts}
-    cap = [1, 0] * m + [_INF, 0] * (4 * m)
+    split = sorted(us | ts)
+    node = {eid: len(H.vertices) + 2 * r for r, eid in enumerate(split)}
+    out, head, cap = network(H, split)
+    starts = [node[u] for u in sorted(us)]
+    ends = {node[t] + 1 for t in ts}
+    base = cap.copy()
     flow, mark = _max_flow(out, head, cap, starts, ends, k)
     # cut each of the flow's paths at its first T-edge, or on failure at its
-    # first edge of the minimum cut, which it crosses exactly once
+    # first edge of the minimum cut, which it crosses exactly once: the
+    # edges whose two arc heads the last search split
     stop = ts if flow == k else frozenset(
-        eids[i] for i in range(m) if mark[2 * i] != -1 and mark[2 * i + 1] == -1
+        eid for eid, a, b in zip(eids, head[::2], head[1::2])
+        if (mark[a] == -1) != (mark[b] == -1)
     )
     paths: list[tuple[EdgeId, ...]] = []
-    for arcs in _peel(out, head, cap, starts, ends):
+    for arcs in _peel(out, head, cap, base, starts, ends):
         seq = [eids[j >> 1] for j in arcs if j < 2 * m]
         first = next(i for i, eid in enumerate(seq) if eid in stop)
         paths.append(tuple(seq[: first + 1]))

@@ -7,21 +7,21 @@ of T.  Such a system is exactly a complete minor of the line graph rooted at
 T, with the bags as branching sets.
 
 The construction recurses on the number of edges.  At each level one flow
-on the vertex-edge incidence network of H either routes k paths of the line
-graph, pairwise sharing no edge, from the edge star of a maximum-degree
-vertex to T, or finds a minimum separator S.  Removing S leaves two edge
-sides, the star side and the far side holding T; the solver contracts the
-star side, recurses, and lifts the answer back along the flow's own paths,
-one from the star to each separator edge.  Parallel edges and the
-complete-graph endgame have dedicated direct constructions.
+on H's vertex hubs (``paths``) either routes k paths of the line graph,
+pairwise sharing no edge, from the edge star of a maximum-degree vertex to
+T, or finds a minimum separator S.  Removing S leaves two edge sides, the
+star side and the far side holding T; the solver contracts the star side,
+recurses, and lifts the answer back along the flow's own paths, one from
+the star to each separator edge.  Parallel edges and the complete-graph
+endgame have dedicated direct constructions.
 
 ``solve`` keeps one memo, keyed on H and gone with it: the last partition
-of H that passed the instance checks (matching partition, Kempe property)
-and H's network once a flow has run on H.  A call on the same (H, partition)
-objects skips both checks and reuses the network.  T and the output are
-checked on every call.  Every recursion level re-checks the structural
-facts it relies on and the final system is verified before it is returned;
-a failure surfaces as InternalAssertionError, never as a silent wrong answer.
+of H that passed the instance checks (matching partition, Kempe property).
+A call on the same (H, partition) objects skips both checks.  T and the
+output are checked on every call.  Every recursion level re-checks the
+structural facts it relies on and the final system is verified before it
+is returned; a failure surfaces as InternalAssertionError, never as a
+silent wrong answer.
 """
 
 from __future__ import annotations
@@ -48,7 +48,7 @@ from .graph import (
     number_ends,
     union_find,
 )
-from .paths import PathSystem, disjoint_paths_or_separator, network
+from .paths import PathSystem, disjoint_paths_or_separator
 
 
 @dataclass(frozen=True)
@@ -401,13 +401,13 @@ def _complete_bags(H: Multigraph, ts: frozenset[EdgeId]) -> list[frozenset[EdgeI
 # main recursion
 
 
-# H -> [partition, H's network or None] for the last graph whose partition
-# passed the partition and Kempe checks; both are immutable, so the pair
-# still passes when it comes back.  H is held weakly, the partition by H's
-# entry, and a miss clears the memo: it keeps one entry and no instance
-# alive.  Threads that miss together may leave two entries until the next
-# miss, or build one network twice; the network depends on H alone.
-_checked: weakref.WeakKeyDictionary[Multigraph, list] = weakref.WeakKeyDictionary()
+# H -> the partition of the last graph whose partition passed the partition
+# and Kempe checks; both are immutable, so the pair still passes when it
+# comes back.  H is held weakly, the partition by H's entry, and a miss
+# clears the memo: it keeps one entry and no instance alive.  Threads that
+# miss together may leave two entries until the next miss.
+_checked: weakref.WeakKeyDictionary[Multigraph, MatchingPartition]
+_checked = weakref.WeakKeyDictionary()
 
 
 def _reject_unless(name: str, verdict: Verdict) -> None:
@@ -425,18 +425,18 @@ def solve(
     Parallel edges and the complete endgame are branches of the same
     recursion.  The partition and the Kempe property are checked once per
     (H, part) object pair: a call with the same two objects as the last
-    pair that passed them skips both checks and reuses H's flow network.
-    T and the output are checked on every call.  A failed input check
-    raises InvalidInputError, a failed output check InternalAssertionError.
+    pair that passed them skips both checks.  T and the output are checked
+    on every call.  A failed input check raises InvalidInputError, a failed
+    output check InternalAssertionError.
     """
     ts = frozenset(T)
-    if _checked.get(H, [None])[0] is not part:
+    if _checked.get(H) is not part:
         # in order, stopping at the first failure: the Kempe check needs
         # known edges
         _reject_unless("matching partition", verify_matching_partition(H, part))
         _reject_unless("kempe", verify_kempe(H, part))
         _checked.clear()
-        _checked[H] = [part, None]
+        _checked[H] = part
     _reject_unless("transversal", verify_transversal(part, ts))
     trace: list[TraceStep] = []
     bags = _solve_rec(H, list(part.classes), ts, trace)
@@ -480,10 +480,7 @@ def _solve_menger(
 ) -> list[frozenset[EdgeId]]:
     k = len(classes)
     U = frozenset(H.edges_at(v))
-    entry = _checked.get(H, [None, None])  # or a throwaway entry
-    if entry[1] is None:
-        entry[1] = network(H)
-    result = disjoint_paths_or_separator(H, U, ts, k, entry[1])
+    result = disjoint_paths_or_separator(H, U, ts, k)
 
     if isinstance(result, PathSystem):
         trace.append(TraceStep("menger", {"vertex": v, "star": U, "paths": result.paths}))

@@ -22,7 +22,6 @@ from kempe_minors.paths import (
     _max_flow,
     _peel,
     disjoint_paths_or_separator,
-    network,
 )
 from kempe_minors.solver import solve
 from linegraph import line_graph
@@ -234,33 +233,38 @@ def graphs_with_isolated_vertices(draw):
     )
 
 
-def arc_by_arc_network(H):
-    """The incidence network built one arc pair at a time: the reference
-    layout the bulk build must reproduce."""
-    m = len(H.edge_ids)
-    hub = {v: 2 * m + i for i, v in enumerate(H.vertices)}
-    out, head, cap = [[] for _ in range(2 * m + len(hub))], [], []
+def arc_by_arc_network(H, split):
+    """H's network for the sorted edge ids ``split``, built one arc pair at
+    a time: the reference layout the bulk build must reproduce."""
+    n = len(H.vertices)
+    hub = {v: x for x, v in enumerate(H.vertices)}
+    node = {eid: n + 2 * r for r, eid in enumerate(split)}
+    out, head, cap = [[] for _ in range(n + 2 * len(split))], [], []
 
-    def add(a, b, c):
+    def add(a, b, c, back):
         out[a].append(len(head))
         out[b].append(len(head) + 1)
         head.extend((b, a))
-        cap.extend((c, 0))
+        cap.extend((c, back))
 
-    for i in range(m):
-        add(2 * i, 2 * i + 1, 1)
-    for i, e in enumerate(H.edges()):
-        for v in e.ends:
-            add(2 * i + 1, hub[v], _INF)
-            add(hub[v], 2 * i, _INF)
+    for e in H.edges():
+        if e.id in node:
+            add(node[e.id], node[e.id] + 1, 1, 0)
+        else:
+            add(hub[e.ends[0]], hub[e.ends[1]], 1, 1)
+    for eid in split:
+        for v in H.edge(eid).ends:
+            add(node[eid] + 1, hub[v], _INF, 0)
+            add(hub[v], node[eid], _INF, 0)
     return out, head, cap
 
 
 def terminals(H, us, ts):
-    """The start nodes in_u for u in sorted U and the set of end nodes out_t
-    for t in T."""
-    index = {eid: i for i, eid in enumerate(H.edge_ids)}
-    return [2 * index[u] for u in sorted(us)], {2 * index[t] + 1 for t in ts}
+    """The split edges, U and T in id order; the start nodes, in-nodes of
+    sorted U; and the set of end nodes, out-nodes of T."""
+    split = sorted(us | ts)
+    node = {eid: len(H.vertices) + 2 * r for r, eid in enumerate(split)}
+    return split, [node[u] for u in sorted(us)], {node[t] + 1 for t in ts}
 
 
 def with_source_and_sink(out, head, cap, starts, ends):
@@ -279,7 +283,7 @@ def with_source_and_sink(out, head, cap, starts, ends):
 
 
 def augmented_networks(calls):
-    """Run each (H, U, T, k, net) call; return, per call, a copy of what it
+    """Run each (H, U, T, k) call; return, per call, a copy of what it
     handed to the augmentation and that network's ``out`` list itself."""
     seen = []
 
@@ -294,7 +298,7 @@ def augmented_networks(calls):
     return seen
 
 
-def rescan_peel(out, head, cap, origins, ends):
+def rescan_peel(out, head, cap, base, origins, ends):
     """One walk from each origin to an end node, scanning each node's arcs
     from the start at every step: the reference the cursor peel must
     reproduce."""
@@ -302,7 +306,7 @@ def rescan_peel(out, head, cap, origins, ends):
     for s in origins:
         nodes, arcs = [s], []
         while nodes[-1] not in ends:
-            j = next(j for j in out[nodes[-1]] if not j & 1 and cap[j ^ 1])
+            j = next(j for j in out[nodes[-1]] if cap[j ^ 1] > base[j ^ 1])
             cap[j ^ 1] -= 1
             x = head[j]
             if x in nodes:
@@ -324,71 +328,81 @@ def draw_call(H, data, max_k):
     return us, ts, data.draw(st.integers(min_value=1, max_value=max_k))
 
 
-class TestIncidenceNetwork:
+def drawn_network(H, data, max_k):
+    """A drawn call's network as built, its starts, ends and k."""
+    us, ts, k = draw_call(H, data, max_k)
+    split, starts, ends = terminals(H, us, ts)
+    return (*arc_by_arc_network(H, split), starts, ends, k)
+
+
+class TestUnitArcNetwork:
     @settings(max_examples=100, deadline=None)
     @given(graphs_with_isolated_vertices(), st.data())
     def test_bulk_build_matches_arc_by_arc(self, H, data):
         # the arc ids and every node's arc order fix the flow's search
-        # order, hence its paths, separators and the solver's bags; both
-        # calls, each with its own U and T, get one network built for H
-        # and the second finds it as the first call left it
+        # order, hence its paths, separators and the solver's bags; each
+        # call, with its own U and T, builds its own network
         u1, t1, _ = draw_call(H, data, 1)
         u2, t2, _ = draw_call(H, data, 1)
-        net = network(H)
-        seen = augmented_networks([(H, u1, t1, 1, net), (H, u2, t2, 1, net)])
+        seen = augmented_networks([(H, u1, t1, 1), (H, u2, t2, 1)])
         (*_, first), (*_, second) = seen
-        assert first is second is net[0]
-        ref_out, ref_head, ref_cap = arc_by_arc_network(H)
+        assert first is not second
         for (out, head, cap, starts, ends, _), us, ts in zip(seen, (u1, u2), (t1, t2)):
-            assert (starts, ends) == terminals(H, us, ts)
+            split, *terminal_nodes = terminals(H, us, ts)
+            assert [starts, ends] == terminal_nodes
+            ref_out, ref_head, ref_cap = arc_by_arc_network(H, split)
             assert head == ref_head
             assert cap == ref_cap
             assert len(out) == len(ref_out)
             for x, (got, want) in enumerate(zip(out, ref_out)):
-                assert got == want, x
-        assert net == network(H)
+                assert list(got) == want, x
 
     @settings(max_examples=100, deadline=None)
     @given(graphs_with_isolated_vertices(), st.data())
-    def test_flow_is_read_from_the_reverse_arc(self, H, data):
-        # the peel reads the flow on an even arc j as cap[j ^ 1]; that rests
-        # on every reverse starting empty and on augmenting keeping each
-        # pair's total fixed
-        us, ts, k = draw_call(H, data, 4)
-        out, head, cap = arc_by_arc_network(H)
-        starts, ends = terminals(H, us, ts)
-        built = cap.copy()
-        assert all(c == 0 for c in built[1::2])
+    def test_flow_is_read_against_the_capacities_as_built(self, H, data):
+        # the peel reads the flow on arc j as cap[j ^ 1] - base[j ^ 1]; that
+        # rests on augmenting keeping each pair's capacity sum fixed.  Read
+        # so, the flow is skew-symmetric, within capacity and conserved
+        # everywhere but at the starts, which send the flow value, and the
+        # ends, which take it
+        out, head, cap, starts, ends, k = drawn_network(H, data, 4)
+        base = cap.copy()
         flow, _ = _max_flow(out, head, cap, starts, ends, k)
         assert flow <= k
+        f = [cap[j ^ 1] - base[j ^ 1] for j in range(len(cap))]
         for j in range(0, len(cap), 2):
-            assert cap[j] + cap[j + 1] == built[j], j
-        peeled = _peel(out, head, cap, starts, ends)
+            assert cap[j] + cap[j + 1] == base[j] + base[j + 1], j
+            assert f[j] == -f[j + 1] and f[j] <= base[j] and f[j + 1] <= base[j + 1]
+        sent = [sum(f[j] for j in out[x]) for x in range(len(out))]
+        assert all(sent[x] in (0, 1) for x in starts)
+        assert sum(sent[x] for x in starts) == flow == -sum(sent[x] for x in ends)
+        assert not any(sent[x] for x in range(len(out)) if x not in ends | set(starts))
+        peeled = _peel(out, head, cap, base, starts, ends)
         assert len(peeled) == flow
-        # one path per start that sends a unit, in the order of the starts
+        # one path per start that sends a unit, in the order of the starts,
+        # over arcs that carried flow, and through every edge at most once
         firsts = [head[arcs[0] ^ 1] for arcs in peeled]
-        assert firsts == [x for x in starts if x in firsts]
+        assert firsts == [x for x in starts if sent[x]]
         used = []
         for arcs in peeled:
             assert head[arcs[-1]] in ends
             assert all(head[a] == head[b ^ 1] for a, b in zip(arcs, arcs[1:]))
-            used += [j for j in arcs if j < 2 * len(H.edge_ids)]
-        assert all(j % 2 == 0 for j in used)
+            assert all(f[j] > 0 for j in arcs)
+            used += [j >> 1 for j in arcs if j < 2 * len(H.edge_ids)]
         assert len(used) == len(set(used))
 
     @settings(max_examples=100, deadline=None)
     @given(graphs_with_isolated_vertices(), st.data())
     def test_cursor_peel_matches_rescan_peel(self, H, data):
-        us, ts, k = draw_call(H, data, 5)
-        out, head, cap = arc_by_arc_network(H)
-        starts, ends = terminals(H, us, ts)
+        out, head, cap, starts, ends, k = drawn_network(H, data, 5)
+        base = cap.copy()
         _max_flow(out, head, cap, starts, ends, k)
         rest = cap.copy()
-        # start x = in_i sends a unit iff its capacity-one arc, whose id is
-        # also 2i = x, carries flow
-        origins = [x for x in starts if cap[x ^ 1]]
-        assert _peel(out, head, cap, starts, ends) == rescan_peel(
-            out, head, rest, origins, ends
+        # start x = in-node of edge i sends a unit iff arc 2i, its in -> out
+        # arc and the first of its row, carries flow
+        origins = [x for x in starts if cap[out[x][0] ^ 1]]
+        assert _peel(out, head, cap, base, starts, ends) == rescan_peel(
+            out, head, rest, base, origins, ends
         )
         assert cap == rest
 
@@ -399,29 +413,28 @@ class TestIncidenceNetwork:
         # the same minimum cut.  The paths may differ: a single source grows
         # one search tree where the starts grow one each.  So the multi-start
         # paths are checked on their own: flow many start-end arc paths that
-        # share no edge node, each stopping at its first end node
-        us, ts, k = draw_call(H, data, 5)
-        out, head, cap = arc_by_arc_network(H)
-        starts, ends = terminals(H, us, ts)
+        # share no edge, each stopping at its first end node
+        out, head, cap, starts, ends, k = drawn_network(H, data, 5)
         s_out, s_head, s_cap, src, snk = with_source_and_sink(
             out, head, cap, starts, ends
         )
+        base = cap.copy()
         flow, mark = _max_flow(out, head, cap, starts, ends, k)
         s_flow, s_mark = _max_flow(s_out, s_head, s_cap, [src], [snk], k)
         assert flow == s_flow
         if flow < k:
             assert [x != -1 for x in mark] == [x != -1 for x in s_mark[:src]]
-        peeled = _peel(out, head, cap, starts, ends)
+        peeled = _peel(out, head, cap, base, starts, ends)
         assert len(peeled) == flow
-        edge_nodes = []
+        used = []
         for arcs in peeled:
             nodes = [head[arcs[0] ^ 1]] + [head[j] for j in arcs]
             assert nodes[0] in starts
             assert all(head[a] == head[b ^ 1] for a, b in zip(arcs, arcs[1:]))
             assert nodes[-1] in ends
             assert not ends.intersection(nodes[:-1])
-            edge_nodes += [x for x in nodes if x < 2 * len(H.edge_ids)]
-        assert len(edge_nodes) == len(set(edge_nodes))
+            used += [j >> 1 for j in arcs if j < 2 * len(H.edge_ids)]
+        assert len(used) == len(set(used))
 
 
 def benchmark_workloads():
@@ -452,9 +465,7 @@ class TestReferenceFlow:
     @settings(max_examples=200, deadline=None)
     @given(graphs_with_isolated_vertices(), st.data())
     def test_small_graphs(self, H, data):
-        us, ts, k = draw_call(H, data, 5)
-        out, head, cap = arc_by_arc_network(H)
-        self.checked_flow(out, head, cap, *terminals(H, us, ts), k)
+        self.checked_flow(*drawn_network(H, data, 5))
 
     def test_every_flow_of_a_corpus_and_a_ladder_pass(self):
         # every flow the solver makes on one criterion-1 pass and on one
@@ -480,79 +491,23 @@ class TestReferenceFlow:
         assert len(below_k) == len(corpus) + 66
 
 
-class TestNetworkTemplate:
-    """One network, built by the caller for H and passed to every call on
-    H, is never written to and never changes what a call returns."""
+class TestPerCallNetwork:
+    """Every call builds its own network and keeps no state, so calls on
+    one graph from many threads return what fresh calls return."""
 
-    @settings(max_examples=60, deadline=None)
-    @given(
-        st.lists(graphs_with_isolated_vertices(), min_size=1, max_size=2),
-        st.data(),
-    )
-    def test_interleaved_calls_return_what_fresh_calls_return(self, graphs, data):
-        # calls alternate between graphs and between stars on one graph
-        nets = [network(H) for H in graphs]
-        calls = []
-        for _ in range(6):
-            i = data.draw(st.sampled_from(range(len(graphs))))
-            eids = sorted(graphs[i].edge_ids)
-            U = data.draw(st.sets(st.sampled_from(eids), min_size=1, max_size=3))
-            T = data.draw(st.sets(st.sampled_from(eids), min_size=1, max_size=3))
-            calls.append((i, U, T, data.draw(st.integers(min_value=1, max_value=3))))
-        for i, U, T, k in calls:
-            H = graphs[i]
-            want = disjoint_paths_or_separator(H, U, T, k)
-            assert disjoint_paths_or_separator(H, U, T, k, nets[i]) == want
-            assert nets[i] == network(H)
-
-    def test_a_call_that_raises_leaves_the_network_intact(self):
-        # the failing call raises after augmenting one unit
-        H = grid_2x3()
-        net = network(H)
-        U, T = {"a01", "r0"}, {"b12", "r2"}
-        want = disjoint_paths_or_separator(H, U, T, 2)
-
-        def failing(out, head, cap, starts, ends, k):
-            _max_flow(out, head, cap, starts, ends, 1)
-            raise RuntimeError("augmentation failed")
-
-        with mock.patch.object(paths, "_max_flow", failing):
-            with pytest.raises(RuntimeError):
-                disjoint_paths_or_separator(H, U, T, 2, net)
-        assert net == network(H)
-        assert disjoint_paths_or_separator(H, U, T, 2, net) == want
-
-    def test_a_call_during_another_shares_the_network(self):
-        # a call made between the outer call's augmentation and its peel
-        # (as from another thread) gets the same network, with another star
-        H = grid_2x3()
-        net = network(H)
-        outer, inner = ({"a01", "r0"}, {"b12", "r2"}, 2), ({"a12"}, {"b01"}, 1)
-        want = [
-            disjoint_paths_or_separator(H, *inner),
-            disjoint_paths_or_separator(H, *outer),
+    def test_the_module_keeps_no_state(self):
+        # no module-level container could hold a network or a flow past
+        # the call that built it
+        assert not [
+            name
+            for name, value in vars(paths).items()
+            if not name.startswith("__") and isinstance(value, (list, dict, set))
         ]
-        augmented, got = [], []
-
-        def nested(*args):
-            augmented.append(args[0])
-            result = _max_flow(*args)
-            if len(augmented) == 1:  # only the outer call nests
-                got.append(disjoint_paths_or_separator(H, *inner, net))
-            return result
-
-        with mock.patch.object(paths, "_max_flow", nested):
-            got.append(disjoint_paths_or_separator(H, *outer, net))
-        assert got == want
-        assert augmented[0] is augmented[1] is net[0]
-        assert net == network(H)
 
     def test_threads_get_what_fresh_calls_return(self):
         # more threads than cores, switching as often as the interpreter
-        # allows, over two graphs and two stars on one of them, each graph
-        # with one network that every thread shares
+        # allows, over two graphs and two stars on one of them
         graphs = [grid_2x3(), grid_2x3()]
-        nets = [network(H) for H in graphs]
         jobs = [
             (0, {"a01", "r0"}, {"b12", "r2"}, 2),
             (1, {"a01", "r0"}, {"b12", "r2"}, 2),
@@ -565,7 +520,7 @@ class TestNetworkTemplate:
             for step in range(300):
                 n = (step + offset) % len(jobs)
                 i, *job = jobs[n]
-                if disjoint_paths_or_separator(graphs[i], *job, nets[i]) != want[n]:
+                if disjoint_paths_or_separator(graphs[i], *job) != want[n]:
                     failures.append(n)
 
         interval = sys.getswitchinterval()
@@ -580,4 +535,3 @@ class TestNetworkTemplate:
             sys.setswitchinterval(interval)
         assert not any(thread.is_alive() for thread in threads)
         assert failures == []
-        assert nets == [network(H) for H in graphs]

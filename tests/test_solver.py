@@ -14,7 +14,7 @@ from itertools import combinations
 import pytest
 from hypothesis import given, settings
 
-from kempe_minors import paths, solver
+from kempe_minors import solver
 from kempe_minors.coloring import (
     MatchingPartition,
     verify_kempe,
@@ -33,7 +33,7 @@ from kempe_minors.generators import (
     splice,
 )
 from kempe_minors.graph import Multigraph, contract, edge, edge_components
-from kempe_minors.paths import Separator, network
+from kempe_minors.paths import Separator
 from kempe_minors.solver import (
     BagSystem,
     assert_complete_fallback,
@@ -613,7 +613,7 @@ class TestSeparatorBranch:
         monkeypatch.setattr(
             solver,
             "disjoint_paths_or_separator",
-            lambda H, U, T, k, net: Separator(S, ()),
+            lambda H, U, T, k: Separator(S, ()),
         )
         with pytest.raises(InternalAssertionError, match="1 edge sides"):
             solve(H, part, T)
@@ -661,8 +661,8 @@ class TestSeparatorBranch:
         far = min(T)
         flow = solver.disjoint_paths_or_separator
 
-        def corrupted(H, U, T, k, net):
-            result = flow(H, U, T, k, net)
+        def corrupted(H, U, T, k):
+            result = flow(H, U, T, k)
             if isinstance(result, Separator):
                 p0, p1 = result.paths
                 assert len(p0) == len(p1) == 2 and far not in result.nodes
@@ -702,24 +702,24 @@ class TestInputValidation:
             solve(H, part, {"ab", "cd"})
 
 
-def count_network_builds(monkeypatch):
-    """Count every build of a flow network, by the solver's top level or
-    by the flow itself; returns the running count as a one-item list."""
-    builds = [0]
+def count_instance_checks(monkeypatch):
+    """Count the solver's partition and Kempe checks; returns the running
+    counts by check name."""
+    calls = {"verify_kempe": 0, "verify_matching_partition": 0}
+    for name in calls:
+        check = getattr(solver, name)
 
-    def counted(H):
-        builds[0] += 1
-        return network(H)
+        def counted(*args, _check=check, _name=name):
+            calls[_name] += 1
+            return _check(*args)
 
-    monkeypatch.setattr(solver, "network", counted)
-    monkeypatch.setattr(paths, "network", counted)
-    return builds
+        monkeypatch.setattr(solver, name, counted)
+    return calls
 
 
 class TestValidationMemo:
     """solve checks the partition and the Kempe property once per
-    (H, partition) object pair, and T on every call; the top level builds
-    the pair's flow network once, sub-levels build their own."""
+    (H, partition) object pair, and T on every call."""
 
     @staticmethod
     def four_cycle():
@@ -739,16 +739,7 @@ class TestValidationMemo:
         return H, kempe, non_kempe
 
     def test_instance_checks_run_once_over_many_transversals(self, monkeypatch):
-        calls = {"verify_kempe": 0, "verify_matching_partition": 0}
-        for name in calls:
-            check = getattr(solver, name)
-
-            def counted(*args, _check=check, _name=name):
-                calls[_name] += 1
-                return _check(*args)
-
-            monkeypatch.setattr(solver, name, counted)
-        builds = count_network_builds(monkeypatch)
+        calls = count_instance_checks(monkeypatch)
         H, part = gen_circulant(7, (0, 1, 2, 3))
         transversals = sample_transversals(part, 50, seed=0)
         assert len(transversals) == 50
@@ -757,12 +748,12 @@ class TestValidationMemo:
             assert verify_solution(H, part, T, bags)
             assert trace.kinds() == ("menger",)
         assert calls == {"verify_kempe": 1, "verify_matching_partition": 1}
-        assert builds == [1]
 
-    def test_sub_levels_build_their_own_network(self, monkeypatch):
-        # a separator step contracts H, so its sub-level flow runs on a new
-        # graph and builds that graph's network; the top level's stays kept
-        builds = count_network_builds(monkeypatch)
+    def test_separator_steps_keep_the_top_level_entry(self, monkeypatch):
+        # a separator step contracts H and recurses on the new graph, which
+        # is neither checked again nor memoised: the memo keeps the top
+        # level's pair, checked once over all the transversals
+        calls = count_instance_checks(monkeypatch)
         a, b = gen_circulant(5, (0, 1, 2)), gen_circulant(7, (0, 1, 2))
         spliced = splice(a, a[0].vertices[0], b, b[0].vertices[0])
         H, part = delete_vertex(*spliced, spliced[0].edge("f0").ends[0])
@@ -772,7 +763,10 @@ class TestValidationMemo:
             assert verify_solution(H, part, T, bags)
             steps += trace.kinds().count("separator")
         assert steps == 16
-        assert builds == [1 + steps]
+        assert calls == {"verify_kempe": 1, "verify_matching_partition": 1}
+        assert [(g is H, p is part) for g, p in solver._checked.items()] == [
+            (True, True)
+        ]
 
     def test_invalid_instance_raises_the_same_error_every_call(self):
         H, _, part = self.four_cycle()
@@ -799,18 +793,15 @@ class TestValidationMemo:
             solve(H, non_kempe, {"ab", "cd", "bc"})
 
     def test_memo_keeps_no_instance_alive(self):
-        # a menger solve, so the memo also keeps H's network; dropping H,
-        # the partition and the result must free all three, network included
+        # a menger solve, which the memo outlives; dropping H, the partition
+        # and the result must free all three, memo entry included
         tracemalloc.start()
         try:
             gc.collect()
             start = tracemalloc.get_traced_memory()[0]
             H, part = gen_circulant(53, tuple(range(9)))
             (T,) = sample_transversals(part, 1, seed=0)
-            before = tracemalloc.get_traced_memory()[0]
-            net = network(H)
-            net_size = tracemalloc.get_traced_memory()[0] - before
-            del net
+            size = tracemalloc.get_traced_memory()[0] - start
             result = solve(H, part, T)
             assert result[1].kinds() == ("menger",)
             graph_ref, part_ref = weakref.ref(H), weakref.ref(part)
@@ -821,13 +812,13 @@ class TestValidationMemo:
             tracemalloc.stop()
         assert graph_ref() is None
         assert part_ref() is None
-        assert left < net_size / 10, (left, net_size)
+        assert left < size / 10, (left, size)
 
     def test_threads_never_skip_checks_for_a_mixed_pair(self):
         # Three valid instances and the cross pair (C_4, K_4's partition),
         # whose partition names edges C_4 lacks.  A memo read torn between
-        # two stored pairs could pass the cross pair unchecked, or hand one
-        # instance another's network.  The thin cut runs a separator step.
+        # two stored pairs could pass the cross pair unchecked.  The thin cut
+        # runs a separator step.
         c4, c4_part, _ = self.four_cycle()
         k4, k4_part = k4_seed()
         cut, cut_part, cut_T = TestSeparatorBranch.thin_cut_instance()
