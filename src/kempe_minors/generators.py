@@ -23,7 +23,7 @@ from .errors import (
     ShiftOutOfRangeError,
     UnknownVertexError,
 )
-from .graph import EdgeId, EdgeRecord, Multigraph, VertexId
+from .graph import EdgeId, EdgePair, EdgeRecord, Multigraph, VertexId
 
 Instance = tuple[Multigraph, MatchingPartition]
 
@@ -142,7 +142,7 @@ def splice(
 
     vertices = [f"a.{v}" for v in h1.vertices if v != v1]
     vertices += [f"b.{v}" for v in h2.vertices if v != v2]
-    edges: list[EdgeRecord] = []
+    edges: list[EdgePair] = []
     classes: list[set[EdgeId]] = [set() for _ in range(k)]
     for h, c, drop, prefix in ((h1, c1, v1, "a."), (h2, c2, v2, "b.")):
         class_of = {eid: j for j, cls in enumerate(c.classes) for eid in cls}
@@ -150,13 +150,13 @@ def splice(
             if e.covers(drop):
                 continue
             u, w = e.ends
-            edges.append(EdgeRecord(f"{prefix}{e.id}", (f"{prefix}{u}", f"{prefix}{w}")))
+            edges.append((f"{prefix}{e.id}", (f"{prefix}{u}", f"{prefix}{w}")))
             classes[class_of[e.id]].add(f"{prefix}{e.id}")
     for j in range(k):
         u1 = stub(h1, c1, v1, j)
         u2 = stub(h2, c2, v2, j)
         fid = f"f{j}"
-        edges.append(EdgeRecord(fid, (f"a.{u1}", f"b.{u2}")))
+        edges.append((fid, (f"a.{u1}", f"b.{u2}")))
         classes[j].add(fid)
     H = Multigraph(vertices, edges)
     part = MatchingPartition.of(classes)

@@ -2,17 +2,17 @@
 
 Edges carry opaque string identifiers that survive contraction: contracting
 an edge set removes exactly those edges and remaps endpoints, it never
-renumbers anything.  Each multigraph numbers its vertices once, by position
-in ``H.vertices``, for every union-find and Kempe-chain walk, and records the
-facts the solver asks of every graph: its parallel pair and the least vertex
-of each degree.  All values are immutable after construction and all
-operations are pure.
+renumbers anything.  A multigraph's one edge table maps each id, in id
+order, to its ends as vertex numbers (positions in ``H.vertices``) for
+every union-find and Kempe-chain walk; the constructor alone decides loops,
+end order, repeated ids and unknown ends, and records the parallel pair and
+the least vertex of each degree.  All values are immutable after
+construction and all operations are pure.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from typing import Iterable, Iterator
+from typing import Iterable, Iterator, NamedTuple
 
 from .errors import (
     DisconnectedContractionSetError,
@@ -26,21 +26,16 @@ from .errors import (
 
 VertexId = str
 EdgeId = str
+EdgePair = tuple[EdgeId, tuple[VertexId, VertexId]]
 
 
-@dataclass(frozen=True)
-class EdgeRecord:
-    """An edge with a stable identifier and an unordered pair of endpoints."""
+class EdgeRecord(NamedTuple):
+    """An edge as the pair ``(id, ends)``.  ``Multigraph`` takes any such
+    pairs, and ``H.edge`` and ``H.edges`` build them with the ends in
+    vertex order."""
 
     id: EdgeId
     ends: tuple[VertexId, VertexId]
-
-    def __post_init__(self) -> None:
-        u, v = self.ends
-        if u == v:
-            raise LoopEdgeError(f"edge {self.id!r} would be a loop at {u!r}")
-        if u > v:
-            object.__setattr__(self, "ends", (v, u))
 
     def covers(self, v: VertexId) -> bool:
         return v in self.ends
@@ -62,12 +57,15 @@ def edge(eid: EdgeId, u: VertexId, v: VertexId) -> EdgeRecord:
 class Multigraph:
     """A finite, undirected, loopless multigraph.
 
-    Parallel edges are permitted; they are distinct records with equal
-    endpoint pairs.  Vertices and edge identifiers are strings ordered by
-    their natural string order, which fixes iteration and vertex numbers.
+    Parallel edges are permitted; they are distinct ids with equal endpoint
+    pairs.  Vertices and edge identifiers are strings ordered by their
+    natural string order, which fixes iteration and vertex numbers.
 
-    The constructor records the vertex tuple, each edge's numbered ends,
-    the parallel pair and the least vertex of each degree.
+    The constructor checks the ``(id, (u, v))`` pairs, records among them,
+    in one pass in the order given: the first edge with a repeated id, an
+    end outside the vertex set or two equal ends raises, tested in that
+    order.  It records the sorted ids, each edge's numbered ends (lesser
+    first), the parallel pair and the least vertex of each degree.
 
     Instances support weak references.  Their immutability, vertex numbers
     included, is load-bearing: ``solver.solve``'s one memo, keyed weakly on
@@ -77,47 +75,46 @@ class Multigraph:
     """
 
     __slots__ = (
-        "_edges", "_at", "_ends", "_vertices", "_parallel", "_least", "__weakref__",
+        "_ids", "_at", "_ends", "_vertices", "_parallel", "_least", "__weakref__",
     )
 
-    def __init__(self, vertices: Iterable[VertexId], edges: Iterable[EdgeRecord]):
-        recs: dict[EdgeId, EdgeRecord] = {}
+    def __init__(self, vertices: Iterable[VertexId], edges: Iterable[EdgePair]):
         pos = {v: i for i, v in enumerate(sorted(set(vertices)))}
-        at: list[list[EdgeId]] = [[] for _ in pos]
-        ends: dict[EdgeId, tuple[int, int]] = {}
-        for e in edges:
-            eid = e.id
-            if eid in recs:
+        given: dict[EdgeId, tuple[int, int]] = {}
+        for eid, (u, w) in edges:
+            if eid in given:
                 raise DuplicateEdgeIdError(f"edge id {eid!r} occurs twice")
-            u, w = e.ends
             try:
                 a, b = pos[u], pos[w]
             except KeyError:
                 raise UnknownEndpointError(
                     f"edge {eid!r} has endpoint outside the vertex set"
                 ) from None
-            recs[eid] = e
-            ends[eid] = (a, b)
+            if a == b:
+                raise LoopEdgeError(f"edge {eid!r} would be a loop at {u!r}")
+            given[eid] = (a, b) if a < b else (b, a)
+        self._ids = ids = tuple(sorted(given))
+        self._ends = ends = {eid: given[eid] for eid in ids}
+        self._vertices = tuple(pos)
+        # id order in, id order out: each vertex's edges come sorted
+        at: list[list[EdgeId]] = [[] for _ in pos]
+        for eid, (a, b) in ends.items():
             at[a].append(eid)
             at[b].append(eid)
-        self._edges = {eid: recs[eid] for eid in sorted(recs)}
-        self._at = {v: tuple(sorted(ids)) for v, ids in zip(pos, at)}
-        self._ends = ends
-        self._vertices = tuple(pos)
+        self._at = dict(zip(pos, map(tuple, at)))
         # the first edge, in id order, whose numbered ends repeat an earlier
         # one's; the scan runs only when some ends repeat
         self._parallel: tuple[EdgeId, EdgeId] | None = None
         if len(set(ends.values())) < len(ends):
             seen: dict[tuple[int, int], EdgeId] = {}
-            for eid in self._edges:
-                pair = ends[eid]
+            for eid, pair in ends.items():
                 if pair in seen:
                     self._parallel = (seen[pair], eid)
                     break
                 seen[pair] = eid
         least: dict[int, VertexId] = {}
-        for v, ids in self._at.items():
-            least.setdefault(len(ids), v)
+        for v, star in self._at.items():
+            least.setdefault(len(star), v)
         self._least = least
 
     # -- basic queries -------------------------------------------------------
@@ -128,22 +125,25 @@ class Multigraph:
 
     @property
     def edge_ids(self) -> tuple[EdgeId, ...]:
-        return tuple(self._edges)
+        return self._ids
 
     def edges(self) -> Iterator[EdgeRecord]:
-        return iter(self._edges.values())
+        """Every edge's record, in id order, each built on request."""
+        return map(self.edge, self._ids)
 
     def __contains__(self, eid: EdgeId) -> bool:
-        return eid in self._edges
+        return eid in self._ends
 
     def has_vertex(self, v: VertexId) -> bool:
         return v in self._at
 
     def edge(self, eid: EdgeId) -> EdgeRecord:
+        """The record of edge ``eid``, its ends in vertex order."""
         try:
-            return self._edges[eid]
+            a, b = self._ends[eid]
         except KeyError:
             raise UnknownEdgeIdError(f"unknown edge id {eid!r}") from None
+        return EdgeRecord(eid, (self._vertices[a], self._vertices[b]))
 
     def edges_at(self, v: VertexId) -> tuple[EdgeId, ...]:
         try:
@@ -155,7 +155,7 @@ class Multigraph:
         return len(self.edges_at(v))
 
     def num_edges(self) -> int:
-        return len(self._edges)
+        return len(self._ends)
 
     def covered(self, F: Iterable[EdgeId]) -> frozenset[VertexId]:
         """Vertices incident with at least one edge of the collection ``F``;
@@ -260,7 +260,7 @@ def contract(H: Multigraph, F: Iterable[EdgeId]) -> tuple[Multigraph, VertexId]:
     fs = frozenset(F)
     pairs = number_ends(H, fs)
     vertices = H.vertices
-    merged = {vertices[x] for pair in pairs for x in pair}
+    merged = {x for pair in pairs for x in pair}
     parts = len(merged) - union_find(len(vertices), pairs)[0]
     if parts != 1:
         raise DisconnectedContractionSetError(
@@ -271,17 +271,15 @@ def contract(H: Multigraph, F: Iterable[EdgeId]) -> tuple[Multigraph, VertexId]:
     while H.has_vertex(w):
         w = f"w{i}"
         i += 1
-    new_edges: list[EdgeRecord] = []
-    for e in H.edges():
-        if e.id in fs:
+    # each vertex number's name after the contraction
+    name = [w if x in merged else v for x, v in enumerate(vertices)]
+    new_edges: list[EdgePair] = []
+    for eid, (a, b) in H._ends.items():
+        if eid in fs:
             continue
-        u, x = e.ends
-        if u in merged and x in merged:
+        if a in merged and b in merged:
             raise WouldCreateLoopError(
-                f"edge {e.id!r} joins two vertices merged by the contraction"
+                f"edge {eid!r} joins two vertices merged by the contraction"
             )
-        u2 = w if u in merged else u
-        x2 = w if x in merged else x
-        new_edges.append(EdgeRecord(e.id, (u2, x2)))
-    kept = [v for v in vertices if v not in merged] + [w]
-    return Multigraph(kept, new_edges), w
+        new_edges.append((eid, (name[a], name[b])))
+    return Multigraph(name, new_edges), w

@@ -20,7 +20,7 @@ from typing import Any, Iterable, Optional
 
 from .coloring import MatchingPartition
 from .errors import KempeMinorError, ParseError, SchemaViolationError
-from .graph import EdgeRecord, Multigraph, number_ends
+from .graph import EdgePair, Multigraph, number_ends
 from .solver import BagSystem, ReductionTrace
 
 ParsedInstance = tuple[Multigraph, MatchingPartition, Optional[frozenset]]
@@ -59,12 +59,12 @@ def _load(text: str) -> Any:
         raise ParseError("arrays and objects nest too deeply to parse") from None
 
 
-def _accepted_edges(items: list) -> list[EdgeRecord]:
-    """The edge records of ``items`` when the list has an edge list's JSON
-    shape: each item an object with a string ``id`` and ``ends`` a list of
-    two strings.  Loops, repeated ids and unknown ends are left to
-    ``EdgeRecord`` and ``Multigraph``.  A shape failure raises at ``edges``
-    without naming an entry; ``parse_instance`` then walks the list."""
+def _accepted_edges(items: list) -> Iterable[EdgePair]:
+    """The ``(id, ends)`` pairs of ``items`` when the list has an edge list's
+    JSON shape: each item an object with a string ``id`` and ``ends`` a list
+    of two strings; ``Multigraph`` alone decides loops, end order, repeated
+    ids and unknown ends.  A shape failure raises at ``edges`` without
+    naming an entry; ``parse_instance`` then walks the list."""
     if all(map(isinstance, items, repeat(dict))):
         ids = list(map(dict.get, items, repeat("id")))
         ends = list(map(dict.get, items, repeat("ends")))
@@ -74,14 +74,14 @@ def _accepted_edges(items: list) -> list[EdgeRecord]:
             and set(map(len, ends)) <= {2}
             and all(map(isinstance, chain.from_iterable(ends), repeat(str)))
         ):
-            return list(map(EdgeRecord, ids, map(tuple, ends)))
+            return zip(ids, ends)
     raise SchemaViolationError("edges", "expected objects with an id and two ends")
 
 
-def _located_edges(items: list, known: set[str]) -> list[EdgeRecord]:
-    """The edge records of ``items``, checked edge by edge: the first
-    failing check raises at the path of its edge."""
-    records: dict[str, EdgeRecord] = {}
+def _located_edges(items: list, known: set[str]) -> Iterable[EdgePair]:
+    """The ``(id, ends)`` pairs of ``items``, checked edge by edge: the
+    first failing check raises at the path of its edge."""
+    pairs: dict[str, list[str]] = {}
     for i, item in enumerate(items):
         path = f"edges[{i}]"
         if not isinstance(item, dict) or "id" not in item or "ends" not in item:
@@ -89,27 +89,26 @@ def _located_edges(items: list, known: set[str]) -> list[EdgeRecord]:
         eid = item["id"]
         if not isinstance(eid, str):
             raise SchemaViolationError(f"{path}.id", "expected a string")
-        if eid in records:
+        if eid in pairs:
             raise SchemaViolationError(f"{path}.id", f"duplicate edge id {eid!r}")
         ends = _expect_list_of_str(item["ends"], f"{path}.ends")
         if len(ends) != 2:
             raise SchemaViolationError(f"{path}.ends", "expected exactly two endpoints")
         if not known.issuperset(ends):  # report the first unknown end
             _expect_ids(ends, f"{path}.ends", "vertex id", known)
-        try:
-            records[eid] = EdgeRecord(eid, (ends[0], ends[1]))
-        except KempeMinorError as exc:
-            raise SchemaViolationError(path, str(exc)) from None
-    return list(records.values())
+        if ends[0] == ends[1]:
+            raise SchemaViolationError(path, f"edge {eid!r} would be a loop at {ends[0]!r}")
+        pairs[eid] = ends
+    return pairs.items()
 
 
 def parse_instance(text: str) -> ParsedInstance:
     """Each list in the document is accepted by checks over the whole list;
     its entries are walked one by one only when a check fails, to report
-    the first failing entry at its own path.  For the edge list the whole
-    list checks are the shape pass, ``EdgeRecord`` and ``Multigraph``; a
-    refusal by any of them sends the list to the walk, which names the
-    first failing entry in document order."""
+    the first failing entry at its own path.  For the edge list these are
+    the shape pass and ``Multigraph``, which alone decides loops, end order,
+    repeated ids and unknown ends; a refusal by either sends the list to
+    the walk, which names the first failing entry in document order."""
     doc = _load(text)
     if not isinstance(doc, dict):
         raise SchemaViolationError("$", "instance document must be an object")

@@ -315,8 +315,9 @@ def _complete_bags(H: Multigraph, ts: frozenset[EdgeId]) -> list[frozenset[EdgeI
     the way up the fix-ups turn the smaller graph's bags into this level's,
     deepest first.
     """
-    by_pair = {e.ends: e.id for e in H.edges()}
-    ends = dict(zip(by_pair.values(), by_pair))
+    vs, ids = H.vertices, H.edge_ids
+    ends = {e: (vs[a], vs[b]) for e, (a, b) in zip(ids, number_ends(H, ids))}
+    by_pair = dict(zip(ends.values(), ends))
 
     def eid_of(u: VertexId, v: VertexId) -> EdgeId:
         return by_pair[(u, v) if u < v else (v, u)]

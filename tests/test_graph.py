@@ -80,11 +80,15 @@ def reachable(L, part):
 
 class TestEdgeRecord:
     def test_ends_are_normalized(self):
-        assert EdgeRecord("e", ("b", "a")).ends == ("a", "b")
+        # the graph orders each edge's ends; its records read them back
+        for given in [EdgeRecord("e", ("b", "a")), ("e", ("b", "a"))]:
+            H = Multigraph(["a", "b"], [given])
+            assert H.edge("e") == EdgeRecord("e", ("a", "b"))
+            assert number_ends(H, ["e"]) == [(0, 1)]
 
     def test_loop_is_rejected(self):
-        with pytest.raises(LoopEdgeError):
-            EdgeRecord("e", ("a", "a"))
+        with pytest.raises(LoopEdgeError, match="^edge 'e' would be a loop at 'a'$"):
+            Multigraph(["a", "b"], [edge("f", "a", "b"), edge("e", "a", "a")])
 
     def test_covers_and_other(self):
         e = edge("e", "x", "y")
@@ -102,6 +106,19 @@ class TestMultigraph:
     def test_unknown_endpoint_rejected(self):
         with pytest.raises(UnknownEndpointError):
             Multigraph(["a"], [edge("e", "a", "b")])
+
+    def test_first_faulty_edge_decides(self):
+        # each list has two faulty edges; the first in the order given
+        # decides the error, whatever the kinds of the two faults
+        for edges, error in [
+            ([edge("e", "a", "zz"), edge("f", "b", "b")], UnknownEndpointError),
+            ([edge("e", "a", "b"), edge("e", "b", "c"), edge("f", "c", "c")],
+             DuplicateEdgeIdError),
+            ([edge("f", "c", "c"), edge("e", "a", "zz")], LoopEdgeError),
+            ([edge("f", "c", "c"), edge("f", "a", "b")], LoopEdgeError),
+        ]:
+            with pytest.raises(error):
+                Multigraph(["a", "b", "c"], edges)
 
     def test_basic_queries(self):
         H = triangle()
@@ -169,9 +186,10 @@ def assert_recorded(H):
     numbered ends, read back through ``H.vertices``, are its ends; the
     parallel pair is the reference scan's; the least vertex of each degree
     is the least vertex of that degree; the degrees are those of its
-    vertices; and ``H.vertices`` is one tuple."""
+    vertices; and ``H.vertices`` and ``H.edge_ids`` are one tuple each."""
     vertices = H.vertices
     assert H.vertices is vertices
+    assert H.edge_ids is H.edge_ids
     for eid, (a, b) in zip(H.edge_ids, number_ends(H, H.edge_ids)):
         assert (vertices[a], vertices[b]) == H.edge(eid).ends
     pair = reference_parallel_pair(H)

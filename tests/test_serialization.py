@@ -466,9 +466,10 @@ class TestMatchesTheReplacedParser:
             "edges[0]", "expected an object with id and ends",
             id="edge-object-before-classes",
         ),
-        # EdgeRecord refuses every loop before Multigraph checks any id or
-        # end, so these put the fault the constructors find first later in
-        # the document
+        # Multigraph, which alone refuses loops, checks each edge's id, ends
+        # and loop in turn, in document order, as the walk does; these put a
+        # loop after an earlier edge's other fault, which a loop check over
+        # the whole list ahead of the id and end checks would misreport
         pytest.param(
             {"edges": edges_with((0, {"ends": ["a", "zz"]}), (2, {"ends": ["c", "c"]}))},
             "edges[0].ends[1]", "unknown vertex id 'zz'",
@@ -494,7 +495,7 @@ class TestMatchesTheReplacedParser:
         assert got == outcome(reference_parse_instance, text)
 
     def test_valid_documents_skip_the_walk(self, monkeypatch):
-        """The walk returns the records the whole-list checks would, so
+        """The walk returns the edges the whole-list checks would, so
         only a walk that raises shows a whole-list check refusing valid
         input."""
         texts = []
