@@ -23,7 +23,7 @@ from .errors import (
     ShiftOutOfRangeError,
     UnknownVertexError,
 )
-from .graph import EdgeId, EdgePair, EdgeRecord, Multigraph, VertexId
+from .graph import EdgeId, EdgePair, Multigraph, VertexId
 
 Instance = tuple[Multigraph, MatchingPartition]
 
@@ -95,13 +95,13 @@ def gen_circulant(m: int, shifts: Sequence[int]) -> Instance:
         return f"t{z % m:0{width}d}"
 
     vertices = [bot(z) for z in range(m)] + [top(z) for z in range(m)]
-    edges: list[EdgeRecord] = []
+    edges: list[EdgePair] = []
     classes: list[set[EdgeId]] = []
     for i, a in enumerate(shifts):
         cls: set[EdgeId] = set()
         for z in range(m):
             eid = f"c{i}z{z:0{width}d}"
-            edges.append(EdgeRecord(eid, (bot(z), top(z + a))))
+            edges.append((eid, (bot(z), top(z + a))))
             cls.add(eid)
         classes.append(cls)
     H = Multigraph(vertices, edges)
@@ -197,7 +197,7 @@ def k4_seed() -> Instance:
     """K_4 with its unique 1-factorization: the smallest complete seed."""
     vertices = ["0", "1", "2", "3"]
     pairs = [(u, v) for u, v in combinations(vertices, 2)]
-    edges = [EdgeRecord(f"e{u}{v}", (u, v)) for u, v in pairs]
+    edges = [(f"e{u}{v}", (u, v)) for u, v in pairs]
     classes = [
         {"e01", "e23"},
         {"e02", "e13"},

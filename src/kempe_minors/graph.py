@@ -188,11 +188,9 @@ class Multigraph:
     # -- derived graphs ------------------------------------------------------
 
     def without_vertex(self, v: VertexId) -> "Multigraph":
-        self.edges_at(v)
-        return Multigraph(
-            (u for u in self._at if u != v),
-            (e for e in self.edges() if not e.covers(v)),
-        )
+        gone, vs = set(self.edges_at(v)), self._vertices
+        kept = ((e, (vs[a], vs[b])) for e, (a, b) in self._ends.items() if e not in gone)
+        return Multigraph((u for u in vs if u != v), kept)
 
 
 def number_ends(H: Multigraph, F: Iterable[EdgeId]) -> list[tuple[int, int]]:
