@@ -28,7 +28,7 @@ from __future__ import annotations
 
 import weakref
 from dataclasses import dataclass, field
-from itertools import combinations
+from itertools import chain, combinations
 from typing import Any, Iterable
 
 from .coloring import (
@@ -315,17 +315,17 @@ def _complete_bags(H: Multigraph, ts: frozenset[EdgeId]) -> list[frozenset[EdgeI
     the way up the fix-ups turn the smaller graph's bags into this level's,
     deepest first.
     """
-    vs, ids = H.vertices, H.edge_ids
-    ends = {e: (vs[a], vs[b]) for e, (a, b) in zip(ids, number_ends(H, ids))}
+    # on H's vertex numbers, which order the vertices as their names do
+    ends = dict(zip(H.edge_ids, number_ends(H, H.edge_ids)))
     by_pair = dict(zip(ends.values(), ends))
 
-    def eid_of(u: VertexId, v: VertexId) -> EdgeId:
+    def eid_of(u: int, v: int) -> EdgeId:
         return by_pair[(u, v) if u < v else (v, u)]
 
-    verts = sorted(H.covered_vertices())
+    verts = sorted(set(chain.from_iterable(ends.values())))
     # each vertex's prescribed neighbours, the far ends of its edges in ts;
     # each level toggles the edges ts gained or lost since the last one
-    t_nbrs: dict[VertexId, set[VertexId]] = {u: set() for u in verts}
+    t_nbrs: dict[int, set[int]] = {u: set() for u in verts}
     last_ts: frozenset[EdgeId] = frozenset()
     fixups: list[tuple[str, frozenset[EdgeId], tuple]] = []
     while len(verts) > 3:
@@ -390,8 +390,9 @@ def _complete_bags(H: Multigraph, ts: frozenset[EdgeId]) -> list[frozenset[EdgeI
             # put w on x's side of the bag split by removing xy; swap x and y
             # if the component containing w sees y but not x
             comps = edge_components(H, bag_f - {xy})
-            cov = H.covered(next(c for c in comps if w in H.covered(c)))
-            if x not in cov and y in cov:
+            vs = H.vertices
+            cov = H.covered(next(c for c in comps if vs[w] in H.covered(c)))
+            if vs[x] not in cov and vs[y] in cov:
                 x, y = y, x
             vw_vy = {eid_of(v, w), eid_of(v, y)}
             bags += [(bag_f - {xy}) | vw_vy, (star - vw_vy) | {xy}]
