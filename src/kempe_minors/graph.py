@@ -61,11 +61,12 @@ class Multigraph:
     pairs.  Vertices and edge identifiers are strings ordered by their
     natural string order, which fixes iteration and vertex numbers.
 
-    The constructor checks the ``(id, (u, v))`` pairs, records among them,
-    in one pass in the order given: the first edge with a repeated id, an
-    end outside the vertex set or two equal ends raises, tested in that
-    order.  It records the sorted ids, each edge's numbered ends (lesser
-    first), the parallel pair and the least vertex of each degree.
+    The constructor takes ``(id, (u, v))`` pairs, an ``EdgeRecord`` being
+    one, and checks them in one pass in the order given: the first edge
+    with a repeated id, an end outside the vertex set or two equal ends
+    raises, tested in that order.  It records the sorted ids, each edge's
+    numbered ends (lesser first), the parallel pair and the least vertex of
+    each degree.
 
     Instances support weak references.  Their immutability, vertex numbers
     included, is load-bearing: ``solver.solve``'s one memo, keyed weakly on
