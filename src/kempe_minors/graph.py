@@ -4,14 +4,18 @@ Edges carry opaque string identifiers that survive contraction: contracting
 an edge set removes exactly those edges and remaps endpoints, it never
 renumbers anything.  A multigraph's one edge table maps each id, in id
 order, to its ends as vertex numbers (positions in ``H.vertices``) for
-every union-find and Kempe-chain walk; the constructor alone decides loops,
-end order, repeated ids and unknown ends, and records the parallel pair and
-the least vertex of each degree.  All values are immutable after
+every union-find and Kempe-chain walk.  Its arc table lists, per vertex
+number, the arcs of the edges there (arc 2i along edge i from its lesser
+end, 2i + 1 back), and each arc's head: the vertex stars read it, and the
+Menger flow starts its network from it.  The constructor alone decides
+loops, end order, repeated ids and unknown ends, and records the parallel
+pair and the least vertex of each degree.  All values are immutable after
 construction and all operations are pure.
 """
 
 from __future__ import annotations
 
+from itertools import compress
 from typing import Iterable, Iterator, NamedTuple
 
 from .errors import (
@@ -65,8 +69,12 @@ class Multigraph:
     one, and checks them in one pass in the order given: the first edge
     with a repeated id, an end outside the vertex set or two equal ends
     raises, tested in that order.  It records the sorted ids, each edge's
-    numbered ends (lesser first), the parallel pair and the least vertex of
-    each degree.
+    numbered ends (lesser first) in id order, the arc table, the parallel
+    pair and the least vertex of each degree.  The arc table holds, for
+    each vertex number, the ascending tuple of its arc ids, and each arc's
+    head: arc 2i runs along edge i (in id order) from its lesser-numbered
+    end to its greater, arc 2i + 1 back.  ``edges_at`` reads a vertex's
+    edge ids off its arcs on request.
 
     Instances support weak references.  Their immutability, vertex numbers
     included, is load-bearing: ``solver.solve``'s one memo, keyed weakly on
@@ -76,7 +84,8 @@ class Multigraph:
     """
 
     __slots__ = (
-        "_ids", "_at", "_ends", "_vertices", "_parallel", "_least", "__weakref__",
+        "_ids", "_ends", "_vertices", "_pos", "_arcs", "_heads", "_parallel",
+        "_least", "__weakref__",
     )
 
     def __init__(self, vertices: Iterable[VertexId], edges: Iterable[EdgePair]):
@@ -95,14 +104,23 @@ class Multigraph:
                 raise LoopEdgeError(f"edge {eid!r} would be a loop at {u!r}")
             given[eid] = (a, b) if a < b else (b, a)
         self._ids = ids = tuple(sorted(given))
-        self._ends = ends = {eid: given[eid] for eid in ids}
+        # documents list their edges in id order; re-key only when out of it
+        ends = given if ids == tuple(given) else {eid: given[eid] for eid in ids}
+        self._ends = ends
         self._vertices = tuple(pos)
-        # id order in, id order out: each vertex's edges come sorted
-        at: list[list[EdgeId]] = [[] for _ in pos]
-        for eid, (a, b) in ends.items():
-            at[a].append(eid)
-            at[b].append(eid)
-        self._at = dict(zip(pos, map(tuple, at)))
+        self._pos = pos
+        # the arc table: arc 2i runs along edge i from its lesser end, 2i + 1
+        # back; id order in, so each vertex's arcs come ascending
+        arcs: list[list[int]] = [[] for _ in pos]
+        heads: list[int] = []
+        j = 0
+        for a, b in ends.values():
+            arcs[a].append(j)
+            arcs[b].append(j + 1)
+            heads += (b, a)
+            j += 2
+        self._arcs = tuple(map(tuple, arcs))
+        self._heads = tuple(heads)
         # the first edge, in id order, whose numbered ends repeat an earlier
         # one's; the scan runs only when some ends repeat
         self._parallel: tuple[EdgeId, EdgeId] | None = None
@@ -114,8 +132,8 @@ class Multigraph:
                     break
                 seen[pair] = eid
         least: dict[int, VertexId] = {}
-        for v, star in self._at.items():
-            least.setdefault(len(star), v)
+        for v, row in zip(self._vertices, self._arcs):
+            least.setdefault(len(row), v)
         self._least = least
 
     # -- basic queries -------------------------------------------------------
@@ -136,7 +154,7 @@ class Multigraph:
         return eid in self._ends
 
     def has_vertex(self, v: VertexId) -> bool:
-        return v in self._at
+        return v in self._pos
 
     def edge(self, eid: EdgeId) -> EdgeRecord:
         """The record of edge ``eid``, its ends in vertex order."""
@@ -146,14 +164,20 @@ class Multigraph:
             raise UnknownEdgeIdError(f"unknown edge id {eid!r}") from None
         return EdgeRecord(eid, (self._vertices[a], self._vertices[b]))
 
-    def edges_at(self, v: VertexId) -> tuple[EdgeId, ...]:
+    def _row(self, v: VertexId) -> tuple[int, ...]:
+        """The arcs leaving vertex ``v``, ascending."""
         try:
-            return self._at[v]
+            return self._arcs[self._pos[v]]
         except KeyError:
             raise UnknownVertexError(f"unknown vertex {v!r}") from None
 
+    def edges_at(self, v: VertexId) -> tuple[EdgeId, ...]:
+        """The ids of the edges at ``v``, ascending, read from its arcs."""
+        ids = self._ids
+        return tuple([ids[j >> 1] for j in self._row(v)])
+
     def degree(self, v: VertexId) -> int:
-        return len(self.edges_at(v))
+        return len(self._row(v))
 
     def num_edges(self) -> int:
         return len(self._ends)
@@ -165,7 +189,7 @@ class Multigraph:
         return frozenset(vertices[x] for pair in number_ends(self, F) for x in pair)
 
     def covered_vertices(self) -> frozenset[VertexId]:
-        return frozenset(v for v, ids in self._at.items() if ids)
+        return frozenset(compress(self._vertices, self._arcs))
 
     def parallel_pair(self) -> tuple[EdgeId, EdgeId] | None:
         """The first edge, in id order, parallel to an earlier one, after

@@ -13,10 +13,13 @@ through each separator edge, come with them.
 
 Each call builds its own network, three plain lists ``out``, ``head`` and
 ``cap`` (see ``network``), and the flow on an arc is read from its
-reverse arc against the capacities as built.  The network has no source or
-sink: U enters the flow as its start nodes and T as its end nodes.  The
-module keeps no state.  The arc ids and each node's arc order fix the
-search order, hence every path, separator and bag.
+reverse arc against the capacities as built.  The hubs' rows and the arcs'
+heads start as copies of the arc table H recorded when built, so a call
+rebuilds only the rows at the ends of U and T and loops over no other
+edge.  The network has no source or sink: U enters the flow as its start
+nodes and T as its end nodes.  The module keeps no state and never writes
+into H.  The arc ids and each node's arc order fix the search order, hence
+every path, separator and bag.
 """
 
 from __future__ import annotations
@@ -75,33 +78,34 @@ def network(
     and ``split[r]`` is in-node n + 2r and out-node n + 2r + 1.  Arcs, in
     id order:
 
-    - ``2i``, ``2i+1`` for edge i of ``H.edge_ids``: from its first end's
-      hub to its second's and back, capacity 1 each, or for an edge of
-      ``split`` in -> out and back, capacity 1 and 0; a minimum cut
-      therefore consists of these arcs;
-    - from ``j = 2m + 8r``, four per end of ``split[r]``, first end first:
-      out -> hub, its reverse, hub -> in, its reverse, uncapacitated.
+    - ``2i``, ``2i+1`` for edge i of ``H.edge_ids``: from its lesser end's
+      hub to its greater's and back, capacity 1 each, as in H's arc table,
+      or for an edge of ``split`` in -> out and back, capacity 1 and 0; a
+      minimum cut therefore consists of these arcs;
+    - from ``j = 2m + 8r``, four per end of ``split[r]``, lesser end
+      first: out -> hub, its reverse, hub -> in, its reverse,
+      uncapacitated.
+
+    ``out`` shares the rows of H's arc table, which no caller writes; each
+    end of a split edge gets a new row, its arc along the edge dropped and
+    its arcs into the in-node appended.
     """
     eids = H.edge_ids
-    ends = number_ends(H, eids)
-    at = [bisect_left(eids, eid) for eid in split]
-    skip = set(at)
-    out: list[Sequence[int]] = [[] for _ in H.vertices]
-    for i, (a, b) in enumerate(ends):
-        if i not in skip:
-            out[a].append(2 * i)
-            out[b].append(2 * i + 1)
-    head = [x for a, b in ends for x in (b, a)]
+    out: list[Sequence[int]] = list(H._arcs)
+    head = list(H._heads)
     cap = [1] * len(head)
-    for i in at:
-        a, b = ends[i]
+    for eid in split:
+        i = bisect_left(eids, eid)
+        b, a = head[2 * i], head[2 * i + 1]
         x, j = len(out), len(head)
         head[2 * i], head[2 * i + 1], cap[2 * i + 1] = x + 1, x, 0
         head += (a, x + 1, x, a, b, x + 1, x, b)
         cap += (_INF, 0) * 4
         out += ((2 * i, j + 3, j + 7), (2 * i + 1, j, j + 4))
-        out[a] += (j + 1, j + 2)
-        out[b] += (j + 5, j + 6)
+        for v, arc, new in ((a, 2 * i, j + 1), (b, 2 * i + 1, j + 5)):
+            row = list(out[v])
+            row.remove(arc)
+            out[v] = row + [new, new + 1]
     return out, head, cap
 
 
@@ -217,6 +221,8 @@ def disjoint_paths_or_separator(
     if not us or not ts:
         raise InvalidInputError("U and T must be nonempty")
     number_ends(H, us | ts)
+    if isinstance(k, bool) or not isinstance(k, int):
+        raise InvalidInputError("k must be an integer")
     if k < 1:
         raise InvalidInputError("k must be positive")
 

@@ -1,6 +1,8 @@
 """Multigraph against the two-table constructor it replaced
 (``tests/referencegraph.py``): the same facts on every edge list without a
-fault, and the same error class on every list with exactly one."""
+fault, and the same error class on every list with exactly one.  The arc
+table each multigraph records is checked against its definition, and an
+edge list given in id order or out of it records the same tables."""
 
 import pytest
 from hypothesis import given, settings
@@ -33,6 +35,41 @@ def facts(H, numbered):
         [H.least_vertex_of_degree(d) for d in range(top + 2)],
         H.degrees(),
     )
+
+
+def defined_arcs(H):
+    """H's arc table from its definition: arc 2i runs along the i-th edge
+    in id order from its lesser-numbered end to its greater, arc 2i + 1
+    back; each vertex lists the arcs leaving it, ascending."""
+    number = {v: x for x, v in enumerate(H.vertices)}
+    rows = [[] for _ in H.vertices]
+    heads = []
+    for i, e in enumerate(H.edges()):
+        a, b = sorted(number[v] for v in e.ends)
+        rows[a].append(2 * i)
+        rows[b].append(2 * i + 1)
+        heads += [b, a]
+    return tuple(map(tuple, rows)), tuple(heads)
+
+
+def recorded(H):
+    """The tables H recorded: numbered ends in their order, and arcs."""
+    assert (H._arcs, H._heads) == defined_arcs(H)
+    assert all(list(row) == sorted(row) for row in H._arcs)
+    ids = H.edge_ids
+    assert [H.edges_at(v) for v in H.vertices] == [
+        tuple(ids[j >> 1] for j in row) for row in H._arcs
+    ]
+    return list(H._ends.items()), H._arcs, H._heads
+
+
+def assert_order_free(vertices, pairs):
+    """The list as given and in id order record the same tables, each as
+    its definition says."""
+    shuffled = Multigraph(vertices, pairs)
+    in_order = Multigraph(vertices, sorted(pairs))
+    assert list(in_order._ends) == sorted(in_order._ends)
+    assert recorded(shuffled) == recorded(in_order)
 
 
 def outcome(build, vertices, pairs):
@@ -95,6 +132,8 @@ class TestMatchesTheReplacedConstructor:
         found = faults(vertices, pairs)
         if len(found) <= 1:
             assert got == outcome(ReferenceMultigraph, vertices, pairs)
+        if not found:
+            assert_order_free(vertices, pairs)
         if found:
             # the first faulty edge in the order given decides the error
             assert got is found[0]
@@ -115,6 +154,8 @@ class TestMatchesTheReplacedConstructor:
             expected = outcome(ReferenceMultigraph, H.vertices, pairs)
             assert outcome(Multigraph, H.vertices, pairs) == expected
             assert facts(H, lambda F: number_ends(H, F)) == expected
+            assert_order_free(H.vertices, pairs)
+            assert recorded(H) == recorded(Multigraph(H.vertices, pairs))
             # contract the first edge with its parallels, which leaves no
             # loop, and compare with the reference built from the same list
             ends = H.edge(H.edge_ids[0]).ends
@@ -128,3 +169,4 @@ class TestMatchesTheReplacedConstructor:
             ]
             expected = outcome(ReferenceMultigraph, named, pairs2)
             assert facts(H2, lambda F: number_ends(H2, F)) == expected
+            assert recorded(H2) == recorded(Multigraph(named, pairs2[::-1]))

@@ -22,6 +22,7 @@ from kempe_minors.paths import (
     _max_flow,
     _peel,
     disjoint_paths_or_separator,
+    network,
 )
 from kempe_minors.solver import solve
 from linegraph import line_graph
@@ -176,6 +177,11 @@ class TestVertexDisjoint:
                 disjoint_paths_or_separator(H, us, ts, 1)
         with pytest.raises(InvalidInputError, match="^k must be positive$"):
             disjoint_paths_or_separator(H, {"a01"}, {"b01"}, 0)
+        # a float would reach the flow as a slice bound, and True would run
+        # as k = 1
+        for k in (2.5, True):
+            with pytest.raises(InvalidInputError, match="^k must be an integer$"):
+                disjoint_paths_or_separator(H, {"a01"}, {"b01"}, k)
 
     @settings(max_examples=60, deadline=None)
     @given(small_graphs(), st.data())
@@ -257,6 +263,14 @@ def arc_by_arc_network(H, split):
             add(node[eid] + 1, hub[v], _INF, 0)
             add(hub[v], node[eid], _INF, 0)
     return out, head, cap
+
+
+def assert_arc_by_arc(H, split, out, head, cap):
+    """The network as built equals the arc-by-arc build for ``split``."""
+    ref_out, ref_head, ref_cap = arc_by_arc_network(H, split)
+    assert head == ref_head
+    assert cap == ref_cap
+    assert [list(row) for row in out] == ref_out
 
 
 def terminals(H, us, ts):
@@ -350,12 +364,48 @@ class TestUnitArcNetwork:
         for (out, head, cap, starts, ends, _), us, ts in zip(seen, (u1, u2), (t1, t2)):
             split, *terminal_nodes = terminals(H, us, ts)
             assert [starts, ends] == terminal_nodes
-            ref_out, ref_head, ref_cap = arc_by_arc_network(H, split)
-            assert head == ref_head
-            assert cap == ref_cap
-            assert len(out) == len(ref_out)
-            for x, (got, want) in enumerate(zip(out, ref_out)):
-                assert list(got) == want, x
+            assert_arc_by_arc(H, split, out, head, cap)
+
+    def test_flows_leave_the_graph_as_built(self):
+        # the network starts from H's arc table: a success, a separator and
+        # a call with U and T overlapping on one H write nothing into it
+        H = grid_2x3()
+        calls = [
+            ({"a01", "r0"}, {"b12", "r2"}, 2),
+            ({"a01", "a12"}, {"b12"}, 2),
+            ({"a01", "r1"}, {"r1", "b12"}, 2),
+        ]
+        kinds = [type(disjoint_paths_or_separator(H, *call)) for call in calls]
+        assert kinds == [PathSystem, Separator, PathSystem]
+        fresh = Multigraph(H.vertices, H.edges())
+        assert (H._arcs, H._heads) == (fresh._arcs, fresh._heads)
+        assert list(map(H.edges_at, H.vertices)) == list(map(fresh.edges_at, H.vertices))
+        # and the next call's network is still the arc-by-arc one
+        us, ts = {"a12", "r2"}, {"b01"}
+        ((out, head, cap, starts, ends, _),) = augmented_networks([(H, us, ts, 1)])
+        assert_arc_by_arc(H, terminals(H, us, ts)[0], out, head, cap)
+
+    def test_every_network_of_a_corpus_and_a_ladder_pass(self):
+        # every network the solver builds on one criterion-1 pass and on
+        # one size-ladder pass of the benchmark, at seed 0
+        built = []
+
+        def checked_network(H, split):
+            got = network(H, split)
+            assert_arc_by_arc(H, split, *got)
+            built.append(split)
+            return got
+
+        workloads = benchmark_workloads()
+        with mock.patch.object(paths, "network", checked_network):
+            for _, (H, part) in standard_corpus():
+                for T in sample_transversals(part, 50, seed=0):
+                    solve(H, part, T)
+            for op in workloads.size_ladder(0, {}):
+                assert workloads.document_op(op)[0]
+        # one network per flow: one per menger step, two per separator step
+        # and one per ladder op
+        assert len(built) == 3181 + 2 * 227 + 66
 
     @settings(max_examples=100, deadline=None)
     @given(graphs_with_isolated_vertices(), st.data())
