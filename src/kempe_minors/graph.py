@@ -4,13 +4,12 @@ Edges carry opaque string identifiers that survive contraction: contracting
 an edge set removes exactly those edges and remaps endpoints, it never
 renumbers anything.  A multigraph's one edge table maps each id, in id
 order, to its ends as vertex numbers (positions in ``H.vertices``) for
-every union-find and Kempe-chain walk.  Its arc table lists, per vertex
-number, the arcs of the edges there (arc 2i along edge i from its lesser
-end, 2i + 1 back), and each arc's head: the vertex stars read it, and the
-Menger flow starts its network from it.  The constructor alone decides
-loops, end order, repeated ids and unknown ends, and records the parallel
-pair and the least vertex of each degree.  All values are immutable after
-construction and all operations are pure.
+every union-find and Kempe-chain walk; its arc table, each vertex's arcs
+and each arc's head, serves the vertex stars and the Menger flow's
+network.  The constructor alone decides loops, end order, repeated ids
+and unknown ends, and records the parallel pair and the least vertex of
+each degree.  All values are immutable after construction and all
+operations are pure.
 """
 
 from __future__ import annotations
@@ -227,6 +226,14 @@ def number_ends(H: Multigraph, F: Iterable[EdgeId]) -> list[tuple[int, int]]:
     except KeyError as err:
         bad = min((e for e in F if e not in H._ends), default=err.args[0])
         raise UnknownEdgeIdError(f"unknown edge id {bad!r}") from None
+
+
+def arc_table(H: Multigraph) -> tuple[tuple[tuple[int, ...], ...], tuple[int, ...]]:
+    """The arc table H recorded when built: each vertex number's arcs,
+    ascending, and each arc's head.  Arc 2i runs along the i-th edge in id
+    order from its lesser-numbered end to its greater, arc 2i + 1 back.
+    Both are H's own tuples."""
+    return H._arcs, H._heads
 
 
 def union_find(n: int, pairs: Iterable[tuple[int, int]]) -> tuple[int, list[int]]:

@@ -13,12 +13,11 @@ through each separator edge, come with them.
 
 Each call builds its own network, three plain lists ``out``, ``head`` and
 ``cap`` (see ``network``), and the flow on an arc is read from its
-reverse arc against the capacities as built.  The hubs' rows and the arcs'
-heads start as copies of the arc table H recorded when built, so a call
-rebuilds only the rows at the ends of U and T and loops over no other
-edge.  The network has no source or sink: U enters the flow as its start
-nodes and T as its end nodes.  The module keeps no state and never writes
-into H.  The arc ids and each node's arc order fix the search order, hence
+reverse arc against the capacities as built.  It starts from the arc table
+H recorded when built, so a call loops over U and T, not over H's edges.
+The network has no source or sink: U enters the flow as its start nodes
+and T as its end nodes.  The module keeps no state and never writes into
+H.  The arc ids and each node's arc order fix the search order, hence
 every path, separator and bag.
 """
 
@@ -29,7 +28,7 @@ from dataclasses import dataclass
 from typing import Iterable, Sequence, Union
 
 from .errors import InvalidInputError
-from .graph import EdgeId, Multigraph, number_ends
+from .graph import EdgeId, Multigraph, arc_table, number_ends
 
 
 @dataclass(frozen=True)
@@ -91,8 +90,9 @@ def network(
     its arcs into the in-node appended.
     """
     eids = H.edge_ids
-    out: list[Sequence[int]] = list(H._arcs)
-    head = list(H._heads)
+    rows, heads = arc_table(H)
+    out: list[Sequence[int]] = list(rows)
+    head = list(heads)
     cap = [1] * len(head)
     for eid in split:
         i = bisect_left(eids, eid)

@@ -15,7 +15,7 @@ from kempe_minors.errors import (
     LoopEdgeError,
     UnknownEndpointError,
 )
-from kempe_minors.graph import Multigraph, contract, number_ends
+from kempe_minors.graph import Multigraph, arc_table, contract, number_ends
 from referencegraph import ReferenceMultigraph
 from test_serialization import ladder_graphs
 
@@ -54,13 +54,14 @@ def defined_arcs(H):
 
 def recorded(H):
     """The tables H recorded: numbered ends in their order, and arcs."""
-    assert (H._arcs, H._heads) == defined_arcs(H)
-    assert all(list(row) == sorted(row) for row in H._arcs)
+    rows, heads = arc_table(H)
+    assert (rows, heads) == defined_arcs(H)
+    assert all(list(row) == sorted(row) for row in rows)
     ids = H.edge_ids
     assert [H.edges_at(v) for v in H.vertices] == [
-        tuple(ids[j >> 1] for j in row) for row in H._arcs
+        tuple(ids[j >> 1] for j in row) for row in rows
     ]
-    return list(H._ends.items()), H._arcs, H._heads
+    return list(H._ends.items()), rows, heads
 
 
 def assert_order_free(vertices, pairs):

@@ -14,7 +14,14 @@ from hypothesis import strategies as st
 from kempe_minors import paths
 from kempe_minors.corpus import sample_transversals, standard_corpus
 from kempe_minors.errors import InvalidInputError, UnknownEdgeIdError
-from kempe_minors.graph import Multigraph, contract, edge, edge_components
+from kempe_minors.graph import (
+    Multigraph,
+    arc_table,
+    contract,
+    edge,
+    edge_components,
+    number_ends,
+)
 from kempe_minors.paths import (
     _INF,
     PathSystem,
@@ -378,12 +385,19 @@ class TestUnitArcNetwork:
         kinds = [type(disjoint_paths_or_separator(H, *call)) for call in calls]
         assert kinds == [PathSystem, Separator, PathSystem]
         fresh = Multigraph(H.vertices, H.edges())
-        assert (H._arcs, H._heads) == (fresh._arcs, fresh._heads)
+        assert arc_table(H) == arc_table(fresh)
         assert list(map(H.edges_at, H.vertices)) == list(map(fresh.edges_at, H.vertices))
         # and the next call's network is still the arc-by-arc one
         us, ts = {"a12", "r2"}, {"b01"}
-        ((out, head, cap, starts, ends, _),) = augmented_networks([(H, us, ts, 1)])
-        assert_arc_by_arc(H, terminals(H, us, ts)[0], out, head, cap)
+        ((out, head, cap, _, _, built),) = augmented_networks([(H, us, ts, 1)])
+        split = terminals(H, us, ts)[0]
+        assert_arc_by_arc(H, split, out, head, cap)
+        # the hubs no split edge touches keep H's own rows
+        rows, _ = arc_table(H)
+        touched = {x for pair in number_ends(H, split) for x in pair}
+        assert [built[v] is rows[v] for v in range(len(rows))] == [
+            v not in touched for v in range(len(rows))
+        ]
 
     def test_every_network_of_a_corpus_and_a_ladder_pass(self):
         # every network the solver builds on one criterion-1 pass and on
