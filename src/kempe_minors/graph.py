@@ -76,10 +76,10 @@ class Multigraph:
     edge ids off its arcs on request.
 
     Instances support weak references.  Their immutability, vertex numbers
-    included, is load-bearing: ``solver.solve``'s one memo, keyed weakly on
-    the graph object, keeps the partition that last passed the instance
-    checks and drops it with the graph.  No slot is written after
-    construction.
+    included, is load-bearing: ``solver.solve``'s memo, keyed weakly on the
+    graph object, keeps for each live graph the partition that last passed
+    the instance checks and drops it with the graph.  No slot is written
+    after construction.
     """
 
     __slots__ = (

@@ -16,16 +16,16 @@ Each call builds its own network, three plain lists ``out``, ``head`` and
 reverse arc against the capacities as built.  It starts from the arc table
 H recorded when built, so a call loops over U and T, not over H's edges.
 The network has no source or sink: U enters the flow as its start nodes
-and T as its end nodes.  The module keeps no state and never writes into
-H.  The arc ids and each node's arc order fix the search order, hence
-every path, separator and bag.
+and T as its end nodes, which ``network`` checks and numbers.  The module
+keeps no state and never writes into H.  The arc ids and each node's arc
+order fix the search order, hence every path, separator and bag.
 """
 
 from __future__ import annotations
 
 from bisect import bisect_left
 from dataclasses import dataclass
-from typing import Iterable, Sequence, Union
+from typing import AbstractSet, Iterable, Sequence, Union
 
 from .errors import InvalidInputError
 from .graph import EdgeId, Multigraph, arc_table, number_ends
@@ -64,18 +64,19 @@ _INF = 1 << 30
 
 
 def network(
-    H: Multigraph, split: Sequence[EdgeId]
-) -> tuple[list[Sequence[int]], list[int], list[int]]:
-    """H's flow network, with node pairs for the edges of ``split``.
+    H: Multigraph, U: AbstractSet[EdgeId], T: AbstractSet[EdgeId]
+) -> tuple[list[Sequence[int]], list[int], list[int], list[int], set[int]]:
+    """H's flow network, with node pairs for the edges of U and T.
 
-    ``split`` holds edge ids of H in ascending order.  Returns ``(out,
-    head, cap)``: ``head[j]`` is the end of arc ``j``, ``j ^ 1`` its
-    reverse, ``out[x]`` node x's arcs in ascending id order and ``cap`` the
-    capacities as built.
+    U and T are sets of H's edge ids, checked by ``graph.number_ends``.
+    Returns ``(out, head, cap, starts, ends)``: ``head[j]`` is the end of
+    arc ``j``, ``j ^ 1`` its reverse, ``out[x]`` node x's arcs in ascending
+    id order, ``cap`` the capacities as built, ``starts`` the in-nodes of
+    U's edges in ascending id order and ``ends`` the out-nodes of T's.
 
-    Nodes: H's vertex numbers (``graph.number_ends``) are the hubs 0..n-1,
-    and ``split[r]`` is in-node n + 2r and out-node n + 2r + 1.  Arcs, in
-    id order:
+    Nodes: H's vertex numbers are the hubs 0..n-1, and ``split[r]``, the
+    r-th edge of U ∪ T in id order, is in-node n + 2r and out-node
+    n + 2r + 1.  Arcs, in id order:
 
     - ``2i``, ``2i+1`` for edge i of ``H.edge_ids``: from its lesser end's
       hub to its greater's and back, capacity 1 each, as in H's arc table,
@@ -90,13 +91,14 @@ def network(
     its arcs into the in-node appended.
     """
     eids = H.edge_ids
+    split = sorted(U | T)
     rows, heads = arc_table(H)
     out: list[Sequence[int]] = list(rows)
     head = list(heads)
     cap = [1] * len(head)
-    for eid in split:
+    n = len(out)
+    for eid, (a, b) in zip(split, number_ends(H, split)):
         i = bisect_left(eids, eid)
-        b, a = head[2 * i], head[2 * i + 1]
         x, j = len(out), len(head)
         head[2 * i], head[2 * i + 1], cap[2 * i + 1] = x + 1, x, 0
         head += (a, x + 1, x, a, b, x + 1, x, b)
@@ -106,7 +108,9 @@ def network(
             row = list(out[v])
             row.remove(arc)
             out[v] = row + [new, new + 1]
-    return out, head, cap
+    starts = [n + 2 * r for r, eid in enumerate(split) if eid in U]
+    ends = {n + 2 * r + 1 for r, eid in enumerate(split) if eid in T}
+    return out, head, cap, starts, ends
 
 
 def _max_flow(
@@ -220,7 +224,7 @@ def disjoint_paths_or_separator(
     ts = frozenset(T)
     if not us or not ts:
         raise InvalidInputError("U and T must be nonempty")
-    number_ends(H, us | ts)
+    out, head, cap, starts, ends = network(H, us, ts)
     if isinstance(k, bool) or not isinstance(k, int):
         raise InvalidInputError("k must be an integer")
     if k < 1:
@@ -228,11 +232,6 @@ def disjoint_paths_or_separator(
 
     eids = H.edge_ids
     m = len(eids)
-    split = sorted(us | ts)
-    node = {eid: len(H.vertices) + 2 * r for r, eid in enumerate(split)}
-    out, head, cap = network(H, split)
-    starts = [node[u] for u in sorted(us)]
-    ends = {node[t] + 1 for t in ts}
     base = cap.copy()
     flow, mark = _max_flow(out, head, cap, starts, ends, k)
     # cut each of the flow's paths at its first T-edge, or on failure at its

@@ -15,13 +15,13 @@ recurses, and lifts the answer back along the flow's own paths, one from
 the star to each separator edge.  Parallel edges and the complete-graph
 endgame have dedicated direct constructions.
 
-``solve`` keeps one memo, keyed on H and gone with it: the last partition
-of H that passed the instance checks (matching partition, Kempe property).
-A call on the same (H, partition) objects skips both checks.  T and the
-output are checked on every call.  Every recursion level re-checks the
-structural facts it relies on and the final system is verified before it
-is returned; a failure surfaces as InternalAssertionError, never as a
-silent wrong answer.
+``solve`` keeps one memo entry per live graph H, gone with it: the
+partition of H that last passed the instance checks (matching partition,
+Kempe property).  A call on the same (H, partition) objects skips both
+checks, whatever the call order.  T and the output are checked on every
+call.  Every recursion level re-checks the structural facts it relies on
+and the final system is verified before it is returned; a failure surfaces
+as InternalAssertionError, never as a silent wrong answer.
 """
 
 from __future__ import annotations
@@ -403,11 +403,10 @@ def _complete_bags(H: Multigraph, ts: frozenset[EdgeId]) -> list[frozenset[EdgeI
 # main recursion
 
 
-# H -> the partition of the last graph whose partition passed the partition
-# and Kempe checks; both are immutable, so the pair still passes when it
-# comes back.  H is held weakly, the partition by H's entry, and a miss
-# clears the memo: it keeps one entry and no instance alive.  Threads that
-# miss together may leave two entries until the next miss.
+# H -> the partition of H that last passed the partition and Kempe checks;
+# both are immutable, so the pair still passes when it comes back.  H is
+# held weakly and its partition by H's entry, so each live graph keeps one
+# entry, and the entry and that partition go away with H.
 _checked: weakref.WeakKeyDictionary[Multigraph, MatchingPartition]
 _checked = weakref.WeakKeyDictionary()
 
@@ -426,10 +425,10 @@ def solve(
 
     Parallel edges and the complete endgame are branches of the same
     recursion.  The partition and the Kempe property are checked once per
-    (H, part) object pair: a call with the same two objects as the last
-    pair that passed them skips both checks.  T and the output are checked
-    on every call.  A failed input check raises InvalidInputError, a failed
-    output check InternalAssertionError.
+    (H, part) object pair: a call with H and the partition of H that last
+    passed them skips both checks, whatever was solved in between.  T and
+    the output are checked on every call.  A failed input check raises
+    InvalidInputError, a failed output check InternalAssertionError.
     """
     ts = frozenset(T)
     if _checked.get(H) is not part:
@@ -437,7 +436,6 @@ def solve(
         # known edges
         _reject_unless("matching partition", verify_matching_partition(H, part))
         _reject_unless("kempe", verify_kempe(H, part))
-        _checked.clear()
         _checked[H] = part
     _reject_unless("transversal", verify_transversal(part, ts))
     trace: list[TraceStep] = []

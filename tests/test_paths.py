@@ -14,6 +14,7 @@ from hypothesis import strategies as st
 from kempe_minors import paths
 from kempe_minors.corpus import sample_transversals, standard_corpus
 from kempe_minors.errors import InvalidInputError, UnknownEdgeIdError
+from kempe_minors.generators import k4_seed
 from kempe_minors.graph import (
     Multigraph,
     arc_table,
@@ -404,11 +405,13 @@ class TestUnitArcNetwork:
         # one size-ladder pass of the benchmark, at seed 0
         built = []
 
-        def checked_network(H, split):
-            got = network(H, split)
-            assert_arc_by_arc(H, split, *got)
+        def checked_network(H, us, ts):
+            out, head, cap, starts, ends = network(H, us, ts)
+            split, *terminal_nodes = terminals(H, us, ts)
+            assert_arc_by_arc(H, split, out, head, cap)
+            assert [starts, ends] == terminal_nodes
             built.append(split)
-            return got
+            return out, head, cap, starts, ends
 
         workloads = benchmark_workloads()
         with mock.patch.object(paths, "network", checked_network):
@@ -420,6 +423,19 @@ class TestUnitArcNetwork:
         # one network per flow: one per menger step, two per separator step
         # and one per ladder op
         assert len(built) == 3181 + 2 * 227 + 66
+
+    @pytest.mark.parametrize(
+        "us, ts, bad",
+        [
+            # e015 sorts between e01 and e02, zz past every id of K_4
+            ({"e015"}, {"e23"}, "e015"),
+            ({"e01"}, {"zz"}, "zz"),
+        ],
+    )
+    def test_network_rejects_unknown_ids(self, us, ts, bad):
+        H, _ = k4_seed()
+        with pytest.raises(UnknownEdgeIdError, match=f"^unknown edge id '{bad}'$"):
+            network(H, us, ts)
 
     @settings(max_examples=100, deadline=None)
     @given(graphs_with_isolated_vertices(), st.data())

@@ -20,7 +20,7 @@ from kempe_minors.coloring import (
     verify_kempe,
     verify_matching_partition,
 )
-from kempe_minors.corpus import sample_transversals
+from kempe_minors.corpus import sample_transversals, standard_corpus
 from kempe_minors.errors import (
     InternalAssertionError,
     InvalidInputError,
@@ -749,24 +749,57 @@ class TestValidationMemo:
             assert trace.kinds() == ("menger",)
         assert calls == {"verify_kempe": 1, "verify_matching_partition": 1}
 
+    def test_round_robin_checks_each_instance_once(self, monkeypatch):
+        # transversals of several corpus instances, interleaved: each graph
+        # keeps its own memo entry, so each instance is checked once, as
+        # in the grouped order, and gets the grouped order's bags
+        calls = count_instance_checks(monkeypatch)
+        instances = [inst for _, inst in standard_corpus()[::10]]
+        samples = [sample_transversals(part, 10, seed=0) for _, part in instances]
+        interleaved = {}
+        for r in range(max(map(len, samples))):
+            for n, ((H, part), ts) in enumerate(zip(instances, samples)):
+                if r < len(ts):
+                    interleaved[n, r] = solve(H, part, ts[r])[0]
+        want = {"verify_kempe": len(instances), "verify_matching_partition": len(instances)}
+        assert calls == want
+        grouped = {
+            (n, r): solve(H, part, T)[0]
+            for n, ((H, part), ts) in enumerate(zip(instances, samples))
+            for r, T in enumerate(ts)
+        }
+        assert interleaved == grouped
+        assert calls == want
+
     def test_separator_steps_keep_the_top_level_entry(self, monkeypatch):
         # a separator step contracts H and recurses on the new graph, which
-        # is neither checked again nor memoised: the memo keeps the top
-        # level's pair, checked once over all the transversals
+        # is neither checked again nor memoised: the memo gains the top
+        # level's pair alone, checked once over all the transversals.  The
+        # contracted graphs are kept alive, so a memo entry for one would
+        # show; the entries already there are held, so none goes away
         calls = count_instance_checks(monkeypatch)
+        contracted = []
+
+        def kept(*args):
+            result = contract(*args)
+            contracted.append(result[0])
+            return result
+
+        monkeypatch.setattr(solver, "contract", kept)
         a, b = gen_circulant(5, (0, 1, 2)), gen_circulant(7, (0, 1, 2))
         spliced = splice(a, a[0].vertices[0], b, b[0].vertices[0])
         H, part = delete_vertex(*spliced, spliced[0].edge("f0").ends[0])
+        before = list(solver._checked)
         steps = 0
         for T in sample_transversals(part, 50, seed=0):
             bags, trace = solve(H, part, T)
             assert verify_solution(H, part, T, bags)
             steps += trace.kinds().count("separator")
-        assert steps == 16
+        assert steps == len(contracted) == 16
         assert calls == {"verify_kempe": 1, "verify_matching_partition": 1}
-        assert [(g is H, p is part) for g, p in solver._checked.items()] == [
-            (True, True)
-        ]
+        assert solver._checked[H] is part
+        assert len(solver._checked) == len(before) + 1
+        assert not any(G in solver._checked for G in contracted)
 
     def test_invalid_instance_raises_the_same_error_every_call(self):
         H, _, part = self.four_cycle()
@@ -813,6 +846,23 @@ class TestValidationMemo:
         assert graph_ref() is None
         assert part_ref() is None
         assert left < size / 10, (left, size)
+
+    def test_memo_keeps_the_partition_while_its_graph_lives(self):
+        # each live graph's entry holds the partition that last passed: with
+        # H kept and the partition dropped, the partition stays alive; once
+        # H is dropped too, both are collected
+        H, part = gen_circulant(7, (0, 1, 2, 3))
+        (T,) = sample_transversals(part, 1, seed=0)
+        solve(H, part, T)
+        graph_ref, part_ref = weakref.ref(H), weakref.ref(part)
+        del part
+        gc.collect()
+        assert part_ref() is not None
+        assert solver._checked[H] is part_ref()
+        del H
+        gc.collect()
+        assert graph_ref() is None
+        assert part_ref() is None
 
     def test_threads_never_skip_checks_for_a_mixed_pair(self):
         # Three valid instances and the cross pair (C_4, K_4's partition),
