@@ -38,15 +38,15 @@ def _expect_ids(
     """A list of distinct strings, each in the set ``known`` unless that is
     None; the first unknown or repeated entry is reported at its own path."""
     ids = _expect_list_of_str(value, path)
-    if len(set(ids)) == len(ids) and (known is None or known.issuperset(ids)):
-        return ids
-    seen: set[str] = set()
-    for j, x in enumerate(ids):
-        if known is not None and x not in known:
-            raise SchemaViolationError(f"{path}[{j}]", f"unknown {what} {x!r}")
-        if x in seen:
-            raise SchemaViolationError(f"{path}[{j}]", f"duplicate {what} {x!r}")
-        seen.add(x)
+    if len(set(ids)) < len(ids) or (known is not None and not known.issuperset(ids)):
+        # some entry fails, so the walk raises at the first one
+        seen: set[str] = set()
+        for j, x in enumerate(ids):
+            if known is not None and x not in known:
+                raise SchemaViolationError(f"{path}[{j}]", f"unknown {what} {x!r}")
+            if x in seen:
+                raise SchemaViolationError(f"{path}[{j}]", f"duplicate {what} {x!r}")
+            seen.add(x)
     return ids
 
 
@@ -64,7 +64,7 @@ def _accepted_edges(items: list) -> Iterable[EdgePair]:
     JSON shape: each item an object with a string ``id`` and ``ends`` a list
     of two strings; ``Multigraph`` alone decides loops, end order, repeated
     ids and unknown ends.  A shape failure raises at ``edges`` without
-    naming an entry; ``parse_instance`` then walks the list."""
+    naming an entry; ``parse_instance`` then walks the list to name it."""
     if all(map(isinstance, items, repeat(dict))):
         ids = list(map(dict.get, items, repeat("id")))
         ends = list(map(dict.get, items, repeat("ends")))
@@ -78,10 +78,10 @@ def _accepted_edges(items: list) -> Iterable[EdgePair]:
     raise SchemaViolationError("edges", "expected objects with an id and two ends")
 
 
-def _located_edges(items: list, known: set[str]) -> Iterable[EdgePair]:
-    """The ``(id, ends)`` pairs of ``items``, checked edge by edge: the
-    first failing check raises at the path of its edge."""
-    pairs: dict[str, list[str]] = {}
+def _locate_edge_fault(items: list, known: set[str]) -> None:
+    """Raise at the path of the first edge of ``items`` that fails a check.
+    It runs only on a list the shape pass or ``Multigraph`` refused."""
+    seen: set[str] = set()
     for i, item in enumerate(items):
         path = f"edges[{i}]"
         if not isinstance(item, dict) or "id" not in item or "ends" not in item:
@@ -89,7 +89,7 @@ def _located_edges(items: list, known: set[str]) -> Iterable[EdgePair]:
         eid = item["id"]
         if not isinstance(eid, str):
             raise SchemaViolationError(f"{path}.id", "expected a string")
-        if eid in pairs:
+        if eid in seen:
             raise SchemaViolationError(f"{path}.id", f"duplicate edge id {eid!r}")
         ends = _expect_list_of_str(item["ends"], f"{path}.ends")
         if len(ends) != 2:
@@ -98,8 +98,7 @@ def _located_edges(items: list, known: set[str]) -> Iterable[EdgePair]:
             _expect_ids(ends, f"{path}.ends", "vertex id", known)
         if ends[0] == ends[1]:
             raise SchemaViolationError(path, f"edge {eid!r} would be a loop at {ends[0]!r}")
-        pairs[eid] = ends
-    return pairs.items()
+        seen.add(eid)
 
 
 def parse_instance(text: str) -> ParsedInstance:
@@ -121,7 +120,8 @@ def parse_instance(text: str) -> ParsedInstance:
     try:
         H = Multigraph(vertices, _accepted_edges(doc["edges"]))
     except KempeMinorError:
-        H = Multigraph(vertices, _located_edges(doc["edges"], set(vertices)))
+        _locate_edge_fault(doc["edges"], set(vertices))
+        raise
     if not isinstance(doc["classes"], list):
         raise SchemaViolationError("classes", "expected a list")
     edge_ids = set(H.edge_ids)

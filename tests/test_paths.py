@@ -11,7 +11,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from kempe_minors import paths
+from kempe_minors import paths, solver
 from kempe_minors.corpus import sample_transversals, standard_corpus
 from kempe_minors.errors import InvalidInputError, UnknownEdgeIdError
 from kempe_minors.generators import k4_seed
@@ -77,6 +77,39 @@ def separates(G, X, us, ts):
                 seen.add(m)
                 stack.append(m)
     return not (seen & ts)
+
+
+def cut_rule(H, head, mark):
+    """The minimum cut as read off the last search: the edges of H whose
+    two arc heads that search split, one reached and one missed."""
+    return frozenset(
+        eid
+        for eid, a, b in zip(H.edge_ids, head[::2], head[1::2])
+        if (mark[a] == -1) != (mark[b] == -1)
+    )
+
+
+def pinned_call(H, U, T, k):
+    """``disjoint_paths_or_separator``, with a separator checked against
+    the cut rule on the last search's marks.  Each path's last edge is its
+    only edge of the separator, or of T for a path system."""
+    searched = []
+
+    def recording(out, head, cap, starts, ends, k):
+        flow, mark = _max_flow(out, head, cap, starts, ends, k)
+        searched.append((head, mark))
+        return flow, mark
+
+    with mock.patch.object(paths, "_max_flow", recording):
+        result = disjoint_paths_or_separator(H, U, T, k)
+    stop = frozenset(T)
+    if isinstance(result, Separator):
+        ((head, mark),) = searched
+        stop = cut_rule(H, head, mark)
+        assert result.nodes == stop
+    for p in result.paths:
+        assert stop.intersection(p) == {p[-1]}
+    return result
 
 
 class TestVertexDisjoint:
@@ -203,7 +236,7 @@ class TestVertexDisjoint:
             data.draw(st.sets(st.sampled_from(nodes), min_size=1, max_size=3))
         )
         k = data.draw(st.integers(min_value=1, max_value=3))
-        result = disjoint_paths_or_separator(H, us, ts, k)
+        result = pinned_call(H, us, ts, k)
         if isinstance(result, PathSystem):
             assert len(result) == k
             used = [n for p in result.paths for n in p]
@@ -486,6 +519,44 @@ class TestUnitArcNetwork:
         )
         assert cap == rest
 
+    def test_peel_walks_around_a_cycle_of_hubs(self):
+        # a unit from e0 (a-b) to e9 (b-x) through hub b, and a unit around
+        # the triangle b, c, d of unsplit edges.  At b the triangle's arc
+        # comes before the hub -> in-node arcs, so the walk goes round it
+        # and returns to b: the path is no longer simple in H, but it is
+        # still a path of L(H) over distinct edges
+        H = Multigraph(
+            ["a", "b", "c", "d", "x"],
+            [
+                edge("e0", "a", "b"),
+                edge("e1", "b", "c"),
+                edge("e2", "c", "d"),
+                edge("e3", "b", "d"),
+                edge("e9", "b", "x"),
+            ],
+        )
+        out, head, cap, starts, ends = network(H, {"e0"}, {"e9"})
+        base = cap.copy()
+        b, c, d = 1, 2, 3  # hubs are the vertex numbers, in sorted order
+        start, end = starts[0], min(ends)
+        for walk in ([start, start + 1, b, end - 1, end], [b, c, d, b]):
+            for x, y in zip(walk, walk[1:]):
+                j = next(j for j in out[x] if head[j] == y and cap[j])
+                cap[j] -= 1
+                cap[j ^ 1] += 1
+        peeled = _peel(out, head, cap, base, starts, ends)
+        # one arc list per start that sends a unit, ending at an end node
+        assert [head[arcs[0] ^ 1] for arcs in peeled] == starts
+        assert all(head[arcs[-1]] in ends for arcs in peeled)
+        seqs = [[H.edge_ids[j >> 1] for j in arcs if j < 2 * len(H.edge_ids)]
+                for arcs in peeled]
+        assert seqs == [["e0", "e1", "e2", "e3", "e9"]]
+        used = [eid for seq in seqs for eid in seq]
+        assert len(used) == len(set(used))
+        for seq in seqs:
+            ends_of = [set(H.edge(eid).ends) for eid in seq]
+            assert all(e & f for e, f in zip(ends_of, ends_of[1:]))
+
     @settings(max_examples=100, deadline=None)
     @given(graphs_with_isolated_vertices(), st.data())
     def test_starts_and_ends_act_as_a_source_and_a_sink(self, H, data):
@@ -515,6 +586,40 @@ class TestUnitArcNetwork:
             assert not ends.intersection(nodes[:-1])
             used += [j >> 1 for j in arcs if j < 2 * len(H.edge_ids)]
         assert len(used) == len(set(used))
+
+
+class TestSeparatorIsTheCut:
+    """Below k, the peel stops each walk at the first node the last search
+    missed; the separator, the set of the paths' last edges, is the cut
+    that search split.  With k units, each path stops at its only T-edge."""
+
+    @settings(max_examples=200, deadline=None)
+    @given(graphs_with_isolated_vertices(), st.data())
+    def test_drawn_calls(self, H, data):
+        # parallel edges, uncovered vertices and U meeting T
+        pinned_call(H, *draw_call(H, data, 5))
+
+    def test_every_flow_of_a_corpus_and_a_ladder_pass(self):
+        # every flow the solver makes on one criterion-1 pass and on one
+        # size-ladder pass of the benchmark, at seed 0
+        results = []
+
+        def recording(*args):
+            results.append(pinned_call(*args))
+            return results[-1]
+
+        workloads = benchmark_workloads()
+        with mock.patch.object(solver, "disjoint_paths_or_separator", recording):
+            for _, (H, part) in standard_corpus():
+                for T in sample_transversals(part, 50, seed=0):
+                    solve(H, part, T)
+            corpus = [isinstance(r, Separator) for r in results]
+            for op in workloads.size_ladder(0, {}):
+                assert workloads.document_op(op)[0]
+        ladder = [isinstance(r, Separator) for r in results[len(corpus):]]
+        assert (len(corpus), sum(corpus)) == (3181 + 2 * 227, 227)
+        # every ladder flow reaches k: its paths are checked against T
+        assert (len(ladder), sum(ladder)) == (66, 0)
 
 
 def benchmark_workloads():

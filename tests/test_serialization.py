@@ -495,9 +495,9 @@ class TestMatchesTheReplacedParser:
         assert got == outcome(reference_parse_instance, text)
 
     def test_valid_documents_skip_the_walk(self, monkeypatch):
-        """The walk returns the edges the whole-list checks would, so
-        only a walk that raises shows a whole-list check refusing valid
-        input."""
+        """The walk only names the entry behind a refusal and accepts
+        nothing, so a walk that runs at all shows a whole-list check
+        refusing valid input."""
         texts = []
         for _, (H, part) in standard_corpus():
             texts.append(emit_instance(H, part))
@@ -510,7 +510,7 @@ class TestMatchesTheReplacedParser:
         def refuse(*args):
             raise AssertionError("a valid edge list was walked")
 
-        monkeypatch.setattr(serialization, "_located_edges", refuse)
+        monkeypatch.setattr(serialization, "_locate_edge_fault", refuse)
         assert [outcome(parse_instance, text) for text in texts] == expected
         assert all(isinstance(got[0], tuple) for got in expected)
 
